@@ -21,7 +21,6 @@ count-based and therefore independent of completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import combinations
@@ -213,13 +212,11 @@ class CensusRow:
     bridge_fraction_of_non_ham: float
 
 
-def classify_graph6(g6: str) -> dict:
-    """Per-graph facts; top-level so process pools can ship it around."""
-    g = parse_graph6(g6)
+def classify_graph(g: Graph) -> dict:
+    """Per-graph facts: size, connectivity class and Hamiltonicity."""
     cls = classify_connectivity(g)
     ham = has_hamiltonian_cycle(g)
     return {
-        "graph6": g6,
         "n": g.n,
         "bridge_count": cls.bridge_count,
         "class": cls.label,
@@ -228,9 +225,18 @@ def classify_graph6(g6: str) -> dict:
     }
 
 
+def classify_graph6(g6: str) -> dict:
+    """``classify_graph`` plus the graph6 echo; top-level so process pools
+    can ship it around."""
+    return {"graph6": g6, **classify_graph(parse_graph6(g6))}
+
+
 def _classify_many(g6s: list[str], jobs: int) -> list[dict]:
     if jobs <= 1 or len(g6s) < 4:
         return [classify_graph6(s) for s in g6s]
+    # imported here: the pool module costs every CLI start-up ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(classify_graph6, g6s, chunksize=16))
 

@@ -17,7 +17,7 @@ from .census import (
     census_csv,
     census_json,
     census_table,
-    classify_graph6,
+    classify_graph,
     conjecture_probe,
     enumerate_cubic,
     probe_csv,
@@ -144,7 +144,8 @@ def _cmd_classify(args) -> str:
         raise InputError("classify needs exactly one of --n or --in")
     graphs = enumerate_cubic(args.n) if args.n is not None else _read_corpus(args.infile)
     lines = [
-        json.dumps(classify_graph6(emit_graph6(g)), sort_keys=True) for g in graphs
+        json.dumps({"graph6": emit_graph6(g), **classify_graph(g)}, sort_keys=True)
+        for g in graphs
     ]
     return "\n".join(lines) + "\n"
 

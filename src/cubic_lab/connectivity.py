@@ -7,14 +7,28 @@ bridge / biconnected (bridgeless but owning a bi-bridge) / three-connected
 (bridgeless, no bi-bridge). For connected cubic graphs vertex and edge
 connectivity coincide, so the trichotomy is just edge connectivity 1 / 2 / 3;
 tests cross-check that equivalence against a brute-force vertex-cut oracle.
+
+Every query here rides on one depth-first search (Tarjan 1974) that gives
+each edge a cycle-space label. Each non-tree edge owns one bit of a Python
+int; a tree edge gets the XOR of the non-tree edges whose fundamental cycles
+pass through it, which is the XOR of the bits incident to its lower subtree.
+The label of an edge is thus its incidence vector over the fundamental
+cycles, and a nonempty edge set is a union of edge cuts exactly when its
+labels XOR to zero (Pritchard & Thurimella, "Fast computation of small cuts
+via cycle space sampling", ACM TALG 7(4), 2011). With one bit per non-tree
+edge the test is exact, not sampled: an edge is a bridge iff its label is
+0, and in a bridgeless graph {e, f} is a 2-edge-cut iff the two labels are
+equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Optional
 
 from .errors import InputError, InvariantError
-from .graphs import Edge, Graph, edge, is_connected, is_cubic, remove_edges
+from .graphs import Edge, Graph, edge, is_cubic
 
 
 @dataclass(frozen=True)
@@ -49,38 +63,59 @@ class ConnectivityClass:
         return "three-connected"
 
 
-def find_bridges(g: Graph) -> tuple[Edge, ...]:
-    """All bridges, via one DFS with low-link values. Requires a connected graph."""
-    if not is_connected(g):
-        raise InputError("find_bridges requires a connected graph")
-    disc = [-1] * g.n
-    low = [0] * g.n
-    bridges: list[Edge] = []
-    timer = 0
-    for start in range(g.n):
-        if disc[start] != -1:
-            continue
-        # iterative DFS; frame = (vertex, parent, neighbor cursor)
-        stack = [(start, -1, 0)]
-        disc[start] = low[start] = timer
-        timer += 1
+def _cycle_labels(g: Graph) -> Optional[dict[Edge, int]]:
+    """Cycle-space label of every edge, or None when g is disconnected.
+
+    One iterative DFS from vertex 0 builds the tree; then every non-tree edge
+    takes the next bit, and tree edges are filled in reverse preorder, each
+    child's subtree XOR folding into its parent's.
+    """
+    n = g.n
+    adj = g.adj
+    parent = [-1] * n
+    order: list[int] = []
+    if n:
+        seen = [False] * n
+        seen[0] = True
+        order.append(0)
+        stack = [(0, iter(adj[0]))]
         while stack:
-            v, parent, i = stack.pop()
-            if i < len(g.adj[v]):
-                stack.append((v, parent, i + 1))
-                w = g.adj[v][i]
-                if disc[w] == -1:
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append((w, v, 0))
-                elif w != parent:
-                    low[v] = min(low[v], disc[w])
+            v, nbrs = stack[-1]
+            for w in nbrs:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+                    stack.append((w, iter(adj[w])))
+                    break
             else:
-                if parent != -1:
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        bridges.append(edge(parent, v))
-    return tuple(sorted(bridges))
+                stack.pop()
+    if len(order) != n:
+        return None
+    inc = [0] * n  # XOR of the bits of the non-tree edges at each vertex
+    labels: dict[Edge, int] = {}
+    bit = 1
+    for u in range(n):
+        for w in adj[u]:
+            if u < w and parent[w] != u and parent[u] != w:
+                labels[Edge(u, w)] = bit
+                inc[u] ^= bit
+                inc[w] ^= bit
+                bit <<= 1
+    for v in reversed(order):
+        p = parent[v]
+        if p != -1:
+            labels[Edge(p, v) if p < v else Edge(v, p)] = inc[v]
+            inc[p] ^= inc[v]
+    return labels
+
+
+def find_bridges(g: Graph) -> tuple[Edge, ...]:
+    """All bridges (the edges labelled 0), sorted. Requires a connected graph."""
+    labels = _cycle_labels(g)
+    if labels is None:
+        raise InputError("find_bridges requires a connected graph")
+    return tuple(sorted(e for e, label in labels.items() if not label))
 
 
 def _components_after(g: Graph, removed: set[Edge]) -> list[set[int]]:
@@ -106,21 +141,24 @@ def _components_after(g: Graph, removed: set[Edge]) -> list[set[int]]:
 def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     """Every unordered edge pair whose removal disconnects the graph.
 
-    The host graph must be connected and bridgeless. A pair {e1, e2} cuts the
-    graph iff e2 is a bridge of g - e1, so one bridge sweep per edge finds
-    them all; the brute-force pair-deletion oracle in the tests stays
-    independent of this route.
+    The host graph must be connected and bridgeless. The pairs are exactly
+    those of equal cycle-space label, so one DFS finds them all; a group of
+    k equal labels yields all k(k-1)/2 of its pairs. Sides are computed only
+    for those pairs, and each is checked to split the graph in two with both
+    cut edges spanning the sides. The brute-force pair-deletion oracle in the
+    tests stays independent of this route.
     """
-    if not is_connected(g):
+    labels = _cycle_labels(g)
+    if labels is None:
         raise InputError("two_edge_cuts requires a connected graph")
-    if find_bridges(g):
-        raise InputError("two_edge_cuts requires a bridgeless graph")
+    groups: dict[int, list[Edge]] = {}
+    for e, label in labels.items():
+        if not label:
+            raise InputError("two_edge_cuts requires a bridgeless graph")
+        groups.setdefault(label, []).append(e)
     cuts: list[BiBridge] = []
-    for e1 in g.edges():
-        reduced = remove_edges(g, [e1])
-        for e2 in find_bridges(reduced):
-            if e2 <= e1:
-                continue  # each pair found once, from its smaller edge
+    for group in groups.values():
+        for e1, e2 in combinations(sorted(group), 2):
             comps = _components_after(g, {e1, e2})
             if len(comps) != 2:
                 raise InvariantError(
@@ -140,15 +178,20 @@ def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
 
 
 def classify_connectivity(g: Graph) -> ConnectivityClass:
-    """Sort a connected cubic graph into bridge / biconnected / three-connected."""
+    """Sort a connected cubic graph into bridge / biconnected / three-connected.
+
+    One labelling pass: the bridges are the zero labels, and a bridgeless
+    graph is biconnected iff some label repeats.
+    """
     if not is_cubic(g):
         raise InputError("classify_connectivity requires a cubic graph")
-    if not is_connected(g):
+    labels = _cycle_labels(g)
+    if labels is None:
         raise InputError("classify_connectivity requires a connected graph")
-    bridges = find_bridges(g)
-    if bridges:
-        return ConnectivityClass(len(bridges), True, False, False)
-    has_cut = bool(two_edge_cuts(g))
+    bridge_count = sum(1 for label in labels.values() if not label)
+    if bridge_count:
+        return ConnectivityClass(bridge_count, True, False, False)
+    has_cut = len(set(labels.values())) < len(labels)
     return ConnectivityClass(0, False, has_cut, not has_cut)
 
 

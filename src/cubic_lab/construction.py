@@ -18,7 +18,6 @@ active side yields the insertion family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .connectivity import BiBridge, classify_connectivity, find_bridges, most_balanced_bibridge
 from .errors import InputError, InvariantError
@@ -202,22 +201,32 @@ def active_side_bridgeless(rec: ConstructionRecord) -> bool:
     return not find_bridges(side)
 
 
-def _insertion_targets(rec: ConstructionRecord, cut: Edge) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    """Pair the removed edge's endpoints with the open nodes.
+_Pairing = tuple[tuple[int, int], tuple[int, int]]
 
-    Low id joins the first open node by default; if that would duplicate an
-    existing edge (the endpoint already touches that open node) the pairing
-    flips. None means neither pairing stays simple, which happens only when
-    an endpoint of the removed edge neighbors both open nodes.
+
+def _insertion_pairings(rec: ConstructionRecord, cut: Edge) -> tuple[_Pairing, ...]:
+    """The simple ways to pair the removed edge's endpoints with the open
+    nodes, in order of preference.
+
+    Low id joins the first open node by default; the flipped pairing follows
+    it. A pairing that would duplicate an existing edge (an endpoint already
+    touches its open node) is left out. An empty result means neither pairing
+    stays simple, which happens only when an endpoint of the removed edge
+    neighbors both open nodes.
     """
     open1, open2 = rec.open_nodes
     lo, hi = cut.u, cut.v
     g = rec.augmented
+    pairings = []
     if not g.has_edge(lo, open1) and not g.has_edge(hi, open2):
-        return (lo, open1), (hi, open2)
+        pairings.append(((lo, open1), (hi, open2)))
     if not g.has_edge(lo, open2) and not g.has_edge(hi, open1):
-        return (lo, open2), (hi, open1)
-    return None
+        pairings.append(((lo, open2), (hi, open1)))
+    return tuple(pairings)
+
+
+class _BridgeMismatch(InvariantError):
+    """An insertion result whose bridges are not exactly the record's bridge."""
 
 
 def _check_member(rec: ConstructionRecord, result: Graph) -> None:
@@ -229,7 +238,7 @@ def _check_member(rec: ConstructionRecord, result: Graph) -> None:
         raise InvariantError("insertion result is disconnected")
     bridges = find_bridges(result)
     if bridges != (rec.bridge,):
-        raise InvariantError(f"insertion result bridges {bridges} != ({tuple(rec.bridge)},)")
+        raise _BridgeMismatch(f"insertion result bridges {bridges} != ({tuple(rec.bridge)},)")
     after = bfs_distances(result, rec.root, within=rec.active_side)
     for v in rec.active_side:
         before = rec.profile.dist[v]
@@ -252,12 +261,23 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     side, remap = rec.side_subgraph()
     if edge(remap[e.u], remap[e.v]) in find_bridges(side):
         raise InputError(f"{tuple(e)} is not on a cycle of the active side")
-    targets = _insertion_targets(rec, e)
-    if targets is None:
+    pairings = _insertion_pairings(rec, e)
+    if not pairings:
         raise InputError(
             f"{tuple(e)} cannot be joined to the open nodes without duplicating an edge"
         )
-    result = add_edges(remove_edges(g, [e]), list(targets))
+    reduced = remove_edges(g, [e])
+    if len(pairings) == 2:
+        result = add_edges(reduced, list(pairings[0]))
+        try:
+            _check_member(rec, result)
+            return result
+        except _BridgeMismatch:
+            # when e is a bridge of the active side less the root and open
+            # nodes, the id-order pairing can leave the root-open edges as
+            # bridges; the flipped pairing then closes the cycles through them
+            pass
+    result = add_edges(reduced, list(pairings[-1]))
     _check_member(rec, result)
     return result
 
@@ -318,9 +338,7 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
             for e in orbit
             if e.u not in open_sub and e.v not in open_sub
         ]
-        insertable = [
-            e for e in insertable if _insertion_targets(rec, e) is not None
-        ]
+        insertable = [e for e in insertable if _insertion_pairings(rec, e)]
         if insertable:
             rep = min(insertable)
             members.append(FamilyMember(rep, MEMBER_INSERT, cycle_insertion(rec, rep)))

@@ -58,6 +58,21 @@ def oracle_two_edge_cuts(g: Graph) -> set:
     return out
 
 
+def oracle_cut_sides(g: Graph, e1, e2) -> tuple[frozenset, frozenset]:
+    """The two vertex sets left by deleting e1 and e2, the one holding
+    vertex 0 first; the pair must be a 2-edge-cut."""
+    banned = {e1, e2}
+    side = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for w in g.adj[u]:
+            if edge(u, w) not in banned and w not in side:
+                side.add(w)
+                stack.append(w)
+    return frozenset(side), frozenset(range(g.n)) - side
+
+
 def oracle_isomorphic(g: Graph, h: Graph) -> bool:
     if g.n != h.n or g.m != h.m:
         return False

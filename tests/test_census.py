@@ -8,6 +8,7 @@ from cubic_lab.census import (
     census_csv,
     census_json,
     census_table,
+    classify_graph,
     classify_graph6,
     conjecture_probe,
     enumerate_cubic,
@@ -116,6 +117,12 @@ class TestCensusTable:
         assert facts["class"] == "three-connected"
         assert facts["is_hamiltonian"] is False
         assert facts["certificate"] == "exhausted"
+
+    def test_classify_graph6_wraps_classify_graph(self, d8, dumbbell):
+        for g in (d8, dumbbell):
+            g6 = emit_graph6(g)
+            assert classify_graph6(g6) == {"graph6": g6, **classify_graph(g)}
+        assert classify_graph(dumbbell)["class"] == "bridge"
 
 
 class TestCompleteTreeShape:

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from cubic_lab.census import enumerate_cubic
 from cubic_lab.connectivity import (
     classify_connectivity,
     find_bridges,
@@ -7,9 +10,14 @@ from cubic_lab.connectivity import (
     two_edge_cuts,
 )
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import build_graph, edge
+from cubic_lab.graphs import build_graph, edge, is_connected, relabel
 
-from oracles import oracle_bridges, oracle_two_edge_cuts, oracle_vertex_connectivity_at_least_3
+from oracles import (
+    oracle_bridges,
+    oracle_cut_sides,
+    oracle_two_edge_cuts,
+    oracle_vertex_connectivity_at_least_3,
+)
 
 
 class TestFindBridges:
@@ -125,3 +133,115 @@ class TestMostBalanced:
         assert len(cuts) == 3
         bb = most_balanced_bibridge(diamond_ring)
         assert (bb.e1, bb.e2) == min((c.e1, c.e2) for c in cuts)
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """Every connected cubic graph with n <= 12 and two seeded relabelings
+    of each, paired with the brute-force oracles' bridges and cuts."""
+    rng = random.Random(1974)
+    cases = []
+    for n in range(4, 13, 2):
+        for g in enumerate_cubic(n):
+            copies = [g] + [relabel(g, rng.sample(range(n), n)) for _ in range(2)]
+            for h in copies:
+                bridges = oracle_bridges(h)
+                cuts = set() if bridges else oracle_two_edge_cuts(h)
+                cases.append((h, bridges, cuts))
+    return cases
+
+
+class TestOracleSweep:
+    def test_sweep_size(self, sweep):
+        # 1 + 2 + 5 + 19 + 85 classes (OEIS A002851), three copies each
+        assert len(sweep) == 3 * 112
+
+    def test_find_bridges(self, sweep):
+        for g, bridges, _ in sweep:
+            assert find_bridges(g) == tuple(sorted(bridges)), g
+
+    def test_two_edge_cuts_pairs_and_sides(self, sweep):
+        for g, bridges, cuts in sweep:
+            if bridges:
+                continue
+            got = two_edge_cuts(g)
+            assert [(bb.e1, bb.e2) for bb in got] == sorted(cuts), g
+            for bb in got:
+                side_a, side_b = oracle_cut_sides(g, bb.e1, bb.e2)
+                assert (bb.side_a, bb.side_b) == (side_a, side_b)
+                assert bb.balance == abs(len(side_a) - len(side_b))
+
+    def test_classify_agrees_with_oracles(self, sweep):
+        for g, bridges, cuts in sweep:
+            cls = classify_connectivity(g)
+            assert cls.bridge_count == len(bridges), g
+            assert cls.is_bridge_graph == bool(bridges)
+            assert cls.is_biconnected == (not bridges and bool(cuts))
+            assert cls.is_three_connected == (not bridges and not cuts)
+
+    def test_most_balanced_is_oracle_minimum(self, sweep):
+        checked = 0
+        for g, bridges, cuts in sweep:
+            if bridges or not cuts:
+                continue
+            keyed = []
+            for e1, e2 in cuts:
+                side_a, side_b = oracle_cut_sides(g, e1, e2)
+                keyed.append((abs(len(side_a) - len(side_b)), e1, e2))
+            bb = most_balanced_bibridge(g)
+            assert (bb.balance, bb.e1, bb.e2) == min(keyed), g
+            checked += 1
+        assert checked == 3 * (1 + 4 + 24)  # biconnected classes at n = 8, 10, 12
+
+
+class TestNonCubicInputs:
+    """find_bridges and two_edge_cuts serve the non-cubic side subgraphs of
+    the construction, so the label route must hold beyond cubic graphs."""
+
+    def test_path_all_bridges(self):
+        path = build_graph(5, [(i, i + 1) for i in range(4)])
+        assert find_bridges(path) == tuple(edge(i, i + 1) for i in range(4))
+        with pytest.raises(InputError, match="bridgeless"):
+            two_edge_cuts(path)
+        with pytest.raises(InputError, match="cubic"):
+            classify_connectivity(path)
+
+    def test_triangle_dumbbell(self):
+        g = build_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+        assert oracle_bridges(g) == {edge(2, 3)}
+        assert find_bridges(g) == (edge(2, 3),)
+
+    def test_single_vertex_and_empty(self):
+        assert find_bridges(build_graph(1, [])) == ()
+        assert find_bridges(build_graph(0, [])) == ()
+        assert two_edge_cuts(build_graph(1, [])) == ()
+
+    def test_cycle_every_pair_cuts(self):
+        # all six edges share one label, so the group yields all 15 pairs
+        ring = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+        got = {(bb.e1, bb.e2) for bb in two_edge_cuts(ring)}
+        assert len(got) == 15
+        assert got == oracle_two_edge_cuts(ring)
+
+    def test_disconnected_rejected_everywhere(self):
+        g = build_graph(8, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                            (4, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7)])
+        for fn in (find_bridges, two_edge_cuts, classify_connectivity):
+            with pytest.raises(InputError, match="connected graph"):
+                fn(g)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(2011)
+        tried = 0
+        while tried < 200:
+            n = rng.randint(2, 9)
+            count = rng.randint(n - 1, 2 * n)
+            g = build_graph(n, [rng.sample(range(n), 2) for _ in range(count)])
+            if not is_connected(g):
+                continue
+            tried += 1
+            bridges = oracle_bridges(g)
+            assert set(find_bridges(g)) == bridges, g
+            if not bridges:
+                got = {(bb.e1, bb.e2) for bb in two_edge_cuts(g)}
+                assert got == oracle_two_edge_cuts(g), g

@@ -16,8 +16,14 @@ from cubic_lab.construction import (
     select_active_side,
 )
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import edge, induced_subgraph, is_cubic, remove_edges
-from cubic_lab.symmetry import are_isomorphic, canonical_form, distinct_cycle_edges
+from cubic_lab.graphs import edge, induced_subgraph, is_cubic, parse_graph6, remove_edges
+from cubic_lab.symmetry import (
+    MODE_FULL,
+    MODE_STABILIZER,
+    are_isomorphic,
+    canonical_form,
+    distinct_cycle_edges,
+)
 
 
 class TestSelectActiveSide:
@@ -212,10 +218,34 @@ class TestInsertionFamily:
                [(m.chosen_edge, m.kind, m.graph) for m in b.members]
 
     def test_full_group_mode_also_valid(self, d8):
-        from cubic_lab.symmetry import MODE_FULL
-
         rec = bridge_construct(d8)
         fam = insertion_family(rec, mode=MODE_FULL)
         assert fam.pairwise_noniso
         for m in fam.members:
             assert is_cubic(m.graph) and m.graph.n == 12
+
+
+class TestCoreBridgeInsertion:
+    """Relabeled inputs where the id-order pairing strands the root: the
+    removed edge is a bridge of the active side less the root and open
+    nodes, so joining its low end to the first open node leaves the
+    root-open edges as bridges. The flipped pairing must take over."""
+
+    @pytest.mark.parametrize("g6", ["KJaGB?A@kQAS", "M?GAHSOpC@W_M?CI?"])
+    def test_family_builds_and_passes_gate(self, g6):
+        rec = bridge_construct(parse_graph6(g6))
+        assert active_side_bridgeless(rec)
+        assert depth_bound_report(rec).holds_stabilizer
+        open1, open2 = rec.open_nodes
+        flipped = 0
+        for mode in (MODE_STABILIZER, MODE_FULL):
+            fam = insertion_family(rec, mode)
+            for m in fam.members:
+                assert is_cubic(m.graph) and m.graph.n == rec.augmented.n
+                assert find_bridges(m.graph) == (rec.bridge,)
+                lo, hi = m.chosen_edge
+                id_order_simple = not (rec.augmented.has_edge(lo, open1)
+                                       or rec.augmented.has_edge(hi, open2))
+                if m.kind == MEMBER_INSERT and id_order_simple and m.graph.has_edge(lo, open2):
+                    flipped += 1
+        assert flipped
