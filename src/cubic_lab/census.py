@@ -8,21 +8,26 @@ consecutively. Every connected cubic graph admits such a numbering (number
 the vertices by first touch along any breadth-first saturation), so the
 search sees at least one labeling per isomorphism class, and a canonical
 form pass deduplicates the survivors. Two cheap, provably sound filters cut
-the duplication before the canonical pass: the graph is dropped unless
-vertex 0 carries the minimal vertex signature (every class has a numbering
-rooted at such a vertex), and a labeling that a same-block fresh-vertex
-swap would lexicographically lower is dropped (the lowered labeling is
-admissible too, so its class survives elsewhere).
+the duplication before the canonical pass. First, a labeling that a
+same-block fresh-vertex swap would lexicographically lower is dropped (the
+lowered labeling is admissible too, so its class survives elsewhere).
+Second, the graph is dropped unless vertex 0 carries the least vertex key
+of ``symmetry._vertex_keys`` (every class has a numbering rooted at such a
+vertex); that test exits at the first vertex whose degree and triangle
+count beat vertex 0's and runs BFS only for the vertices that tie.
 
-Census classification can fan out over a process pool; aggregation is
-count-based and therefore independent of completion order.
+With ``jobs`` > 1, ``census_table`` opens one process pool for the whole
+run. Each worker walks the saturation tree, filters and canonicalises only
+the leaves whose index is its own residue mod ``jobs``, and the sorted
+union of their canonical forms is the serial result. The same pool then
+classifies the graphs; aggregation is count-based and therefore
+independent of completion order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional
 
@@ -36,9 +41,15 @@ from .graphs import (
     induced_subgraph,
     parse_graph6,
 )
-from .hamilton import has_hamiltonian_cycle
+from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .reduction import int_fifth_root
-from .symmetry import GROUP_MAX_N, MODE_FULL, canonical_form, distinct_cycle_edges
+from .symmetry import (
+    GROUP_MAX_N,
+    MODE_FULL,
+    canonical_form,
+    distinct_cycle_edges,
+    vertex_zero_key_is_least,
+)
 
 DEFAULT_MAX_N = 18
 ENV_MAX_N = "CUBIC_LAB_MAX_N"
@@ -110,80 +121,78 @@ def _saturation_leaves(n: int) -> Iterator[tuple[list[list[int]], list[tuple[int
     yield from turn(0, 0)
 
 
-def _sorted_edges(adj: list[list[int]]) -> list[tuple[int, int]]:
-    return sorted(
-        (u, w) if u < w else (w, u) for u in range(len(adj)) for w in adj[u] if w > u
-    )
-
-
 def _block_swap_reducible(adj: list[list[int]], blocks: list[tuple[int, int, int]]) -> bool:
     """True when swapping two same-block fresh siblings (neither of which
-    introduced fresh vertices at its own turn) lowers the edge list.
+    introduced fresh vertices at its own turn) lowers the sorted edge list.
 
     Such a swap keeps the labeling admissible: the siblings share their
     introduction turn, and because neither owns a block the frontier walks
     through their own turns unchanged. The lowered labeling is therefore
     generated too, so this leaf is a duplicate that can be skipped.
+
+    Only the edges at the two siblings move, and of two equal-size edge
+    sets the one holding the least edge of their symmetric difference sorts
+    first, so the test looks at those few edges alone.
     """
-    base = _sorted_edges(adj)
     owners = {owner for owner, _, _ in blocks}
     for _, start, size in blocks:
         for f in range(start, start + size - 1):
-            if f in owners or (f + 1) in owners:
+            g = f + 1
+            if f in owners or g in owners:
                 continue
-            swap = {f: f + 1, f + 1: f}
-            swapped = sorted(
-                tuple(sorted((swap.get(u, u), swap.get(w, w)))) for u, w in base
-            )
-            if swapped < base:
+            moved = set()
+            image = set()
+            for v, v_image in ((f, g), (g, f)):
+                for w in adj[v]:
+                    moved.add((v, w) if v < w else (w, v))
+                    w_image = f if w == g else g if w == f else w
+                    image.add(
+                        (v_image, w_image) if v_image < w_image else (w_image, v_image)
+                    )
+            diff = moved ^ image
+            if diff and min(diff) in image:
                 return True
     return False
 
 
-def _cheap_vertex_keys(adj: list[list[int]]) -> list[tuple]:
-    """Isomorphism-invariant per-vertex signatures on raw adjacency lists."""
-    n = len(adj)
-    keys = []
-    for v in range(n):
-        dist = [-1] * n
-        dist[v] = 0
-        queue = [v]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
-            for w in adj[x]:
-                if dist[w] < 0:
-                    dist[w] = dist[x] + 1
-                    queue.append(w)
-        nbrs = adj[v]
-        tri = sum(
-            1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-            if nbrs[j] in adj[nbrs[i]]
-        )
-        keys.append((tri, tuple(sorted(dist))))
-    return keys
-
-
-@lru_cache(maxsize=None)
-def _enumerate_cached(n: int) -> tuple[Graph, ...]:
-    found: dict[bytes, None] = {}
-    for adj, blocks in _saturation_leaves(n):
-        keys = _cheap_vertex_keys(adj)
-        if keys[0] != min(keys):
+def _walk_share(n: int, share: int, shares: int) -> set[bytes]:
+    """Canonical graph6 forms of the saturation leaves whose index is
+    ``share`` mod ``shares`` and that pass both filters. The block swap
+    test goes first because it is the cheaper one."""
+    found: set[bytes] = set()
+    for index, (adj, blocks) in enumerate(_saturation_leaves(n)):
+        if index % shares != share:
             continue
         if blocks and _block_swap_reducible(adj, blocks):
             continue
+        if not vertex_zero_key_is_least(adj):
+            continue
         g = Graph(n, tuple(tuple(sorted(row)) for row in adj))
-        form = canonical_form(g).graph6
-        if form not in found:
-            found[form] = None
-    return tuple(parse_graph6(form.decode("ascii")) for form in sorted(found))
+        found.add(canonical_form(g).graph6)
+    return found
 
 
-def enumerate_cubic(n: int) -> tuple[Graph, ...]:
-    """Every connected cubic graph on n vertices, exactly once per
-    isomorphism class, as canonical representatives in canonical order."""
+_ENUMERATED: dict[int, tuple[Graph, ...]] = {}
+
+
+def _enumerate_cached(n: int, pool=None, jobs: int = 1) -> tuple[Graph, ...]:
+    """The classes of size n, computed once per process. With a pool, each
+    of ``jobs`` workers walks the whole tree but filters and canonicalises
+    only its own share of the leaves; the sorted union is the same."""
+    graphs = _ENUMERATED.get(n)
+    if graphs is None:
+        if pool is None:
+            forms = _walk_share(n, 0, 1)
+        else:
+            forms = set().union(*pool.map(
+                _walk_share, [n] * jobs, range(jobs), [jobs] * jobs
+            ))
+        graphs = tuple(parse_graph6(form.decode("ascii")) for form in sorted(forms))
+        _ENUMERATED[n] = graphs
+    return graphs
+
+
+def _check_enumeration_n(n: int) -> None:
     if n % 2:
         raise InputError(
             f"no cubic graph exists on {n} vertices (odd degree sum)"
@@ -191,6 +200,12 @@ def enumerate_cubic(n: int) -> tuple[Graph, ...]:
     bound = max_enumeration_n()
     if not 4 <= n <= bound:
         raise InputError(f"n must lie in [4, {bound}], got {n}")
+
+
+def enumerate_cubic(n: int) -> tuple[Graph, ...]:
+    """Every connected cubic graph on n vertices, exactly once per
+    isomorphism class, as canonical representatives in canonical order."""
+    _check_enumeration_n(n)
     return _enumerate_cached(n)
 
 
@@ -215,7 +230,12 @@ class CensusRow:
 def classify_graph(g: Graph) -> dict:
     """Per-graph facts: size, connectivity class and Hamiltonicity."""
     cls = classify_connectivity(g)
-    ham = has_hamiltonian_cycle(g)
+    if cls.bridge_count:
+        # the shortcut has_hamiltonian_cycle would take, from the bridges
+        # already counted
+        ham = HamiltonicityResult(False, None, CERT_BRIDGE)
+    else:
+        ham = has_hamiltonian_cycle(g, use_bridge_shortcut=False)
     return {
         "n": g.n,
         "bridge_count": cls.bridge_count,
@@ -231,14 +251,24 @@ def classify_graph6(g6: str) -> dict:
     return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
-def _classify_many(g6s: list[str], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(g6s) < 4:
+def _classify_in(pool, g6s: list[str]) -> list[dict]:
+    if pool is None or len(g6s) < 4:
         return [classify_graph6(s) for s in g6s]
+    return list(pool.map(classify_graph6, g6s, chunksize=16))
+
+
+def _process_pool(jobs: int):
     # imported here: the pool module costs every CLI start-up ~20 ms
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(classify_graph6, g6s, chunksize=16))
+    return ProcessPoolExecutor(max_workers=jobs)
+
+
+def _classify_many(g6s: list[str], jobs: int) -> list[dict]:
+    if jobs <= 1 or len(g6s) < 4:
+        return _classify_in(None, g6s)
+    with _process_pool(jobs) as pool:
+        return _classify_in(pool, g6s)
 
 
 def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
@@ -275,13 +305,18 @@ def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
 
 
 def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
-    rows = []
-    for n in range(n_min, n_max + 1):
-        if n % 2:
-            continue
-        g6s = [emit_graph6(g) for g in enumerate_cubic(n)]
-        rows.append(_row_from_facts(n, _classify_many(g6s, jobs)))
-    return rows
+    sizes = [n for n in range(n_min, n_max + 1) if n % 2 == 0]
+    for n in sizes:
+        _check_enumeration_n(n)
+    if jobs <= 1 or not sizes:
+        return [_census_row(n, None, 1) for n in sizes]
+    with _process_pool(jobs) as pool:
+        return [_census_row(n, pool, jobs) for n in sizes]
+
+
+def _census_row(n: int, pool, jobs: int) -> CensusRow:
+    g6s = [emit_graph6(g) for g in _enumerate_cached(n, pool, jobs)]
+    return _row_from_facts(n, _classify_in(pool, g6s))
 
 
 def census_csv(rows: list[CensusRow]) -> str:

@@ -18,6 +18,7 @@ active side yields the insertion family.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .connectivity import BiBridge, classify_connectivity, find_bridges, most_balanced_bibridge
 from .errors import InputError, InvariantError
@@ -65,6 +66,12 @@ class ConstructionRecord:
 
     def side_subgraph(self) -> tuple[Graph, dict[int, int]]:
         return induced_subgraph(self.augmented, self.active_side)
+
+    @cached_property
+    def _side_with_bridges(self) -> tuple[Graph, dict[int, int], frozenset[Edge]]:
+        # built once per record: every cycle_insertion of a family needs it
+        side, remap = self.side_subgraph()
+        return side, remap, frozenset(find_bridges(side))
 
 
 def select_active_side(g: Graph, bb: BiBridge) -> str:
@@ -258,8 +265,8 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     open1, open2 = rec.open_nodes
     if e.u in (open1, open2) or e.v in (open1, open2):
         raise InputError(f"{tuple(e)} touches an open node")
-    side, remap = rec.side_subgraph()
-    if edge(remap[e.u], remap[e.v]) in find_bridges(side):
+    _, remap, side_bridges = rec._side_with_bridges
+    if edge(remap[e.u], remap[e.v]) in side_bridges:
         raise InputError(f"{tuple(e)} is not on a cycle of the active side")
     pairings = _insertion_pairings(rec, e)
     if not pairings:
@@ -321,11 +328,10 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
     open-node-adjacent edges collapse into the single join-open-nodes member.
     Isomorphism collisions between members are reported, never dropped.
     """
-    side, remap = rec.side_subgraph()
+    side, remap, side_bridges = rec._side_with_bridges
     inverse = {new: old for old, new in remap.items()}
     root_sub = remap[rec.root] if mode == MODE_STABILIZER else None
     partition = edge_orbits(side, mode, root_sub)
-    side_bridges = set(find_bridges(side))
     open_sub = {remap[v] for v in rec.open_nodes}
 
     members: list[FamilyMember] = []

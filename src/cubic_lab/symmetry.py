@@ -7,6 +7,17 @@ invariants stand in for the search). Sizes are capped because the census
 workloads this package targets never exceed a few dozen vertices and
 exactness matters more than asymptotics here.
 
+The root partition groups vertices by ``_vertex_keys`` (degree, triangles,
+sorted BFS distances), the same keys the enumerator's root filter uses.
+Refinement keys a vertex by the sorted cell indices of its neighbors. The
+search skips subtrees that are images of earlier ones: two leaves with
+equal codes give an automorphism, and a child in the orbit of an explored
+sibling under the recorded automorphisms that fix the current path is
+skipped. A skipped subtree holds the same codes as the earlier one it is
+an image of, so the least code is unchanged, and no leaf in it comes first
+with that code, so the labeling is unchanged too: the result is exactly
+that of the walk over every leaf.
+
 "Distinct" edges follow the orbit view: two edges are interchangeable when
 some admitted automorphism maps one onto the other. The admitted group is
 either the full automorphism group or the stabilizer of a chosen root; the
@@ -18,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
-from .graphs import Edge, Graph, bfs_distances, edge, emit_graph6, relabel
+from .graphs import Edge, Graph, edge, emit_graph6, relabel
 
 CANON_MAX_N = 24
 GROUP_MAX_N = 16
@@ -47,44 +58,94 @@ class EdgeOrbitPartition:
     root: Optional[int]
 
 
-def _vertex_keys(g: Graph) -> list[tuple]:
-    """Cheap isomorphism-invariant vertex signatures used to seed the
-    refinement and to prune automorphism search."""
-    keys = []
-    for v in range(g.n):
-        profile = bfs_distances(g, v)
-        dists = tuple(sorted(g.n if d is None else d for d in profile.dist))
-        nbrs = g.adj[v]
-        triangles = sum(
-            1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-            if g.has_edge(nbrs[i], nbrs[j])
-        )
-        keys.append((len(nbrs), triangles, dists))
-    return keys
+def _triangles(adj: Sequence[Sequence[int]], v: int) -> int:
+    nbrs = adj[v]
+    return sum(
+        1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
+        if nbrs[j] in adj[nbrs[i]]
+    )
 
 
-def _refine(adj_sets: list[frozenset[int]], cells: list[list[int]]) -> list[list[int]]:
+def _distances(adj: Sequence[Sequence[int]], v: int) -> tuple[int, ...]:
+    """BFS distances from v in queue order (hence sorted), with n standing
+    in for every vertex v cannot reach."""
+    n = len(adj)
+    dist = [-1] * n
+    dist[v] = 0
+    queue = [v]
+    for x in queue:
+        dx = dist[x] + 1
+        for w in adj[x]:
+            if dist[w] < 0:
+                dist[w] = dx
+                queue.append(w)
+    return tuple([dist[x] for x in queue] + [n] * (n - len(queue)))
+
+
+def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple]:
+    """Cheap isomorphism-invariant vertex signatures on adjacency lists:
+    (degree, triangles through v, sorted BFS distances from v). They seed
+    the refinement and prune the automorphism search."""
+    return [
+        (len(adj[v]), _triangles(adj, v), _distances(adj, v))
+        for v in range(len(adj))
+    ]
+
+
+def vertex_zero_key_is_least(adj: Sequence[Sequence[int]]) -> bool:
+    """Whether ``_vertex_keys(adj)[0] == min(_vertex_keys(adj))``, with an
+    early exit: degree and triangle count settle most vertices, so BFS runs
+    only for the vertices that tie with vertex 0 on both."""
+    head = (len(adj[0]), _triangles(adj, 0))
+    ties = []
+    for v in range(1, len(adj)):
+        key = (len(adj[v]), _triangles(adj, v))
+        if key < head:
+            return False
+        if key == head:
+            ties.append(v)
+    if not ties:
+        return True
+    dist0 = _distances(adj, 0)
+    return all(_distances(adj, v) >= dist0 for v in ties)
+
+
+def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]]:
     """Split cells by neighbor counts until the partition is equitable.
 
-    Cell order and split order depend only on position and count keys, never
-    on raw vertex ids, so the refinement commutes with relabeling.
+    Each turn splits the first cell whose vertices disagree on how many
+    neighbors they have in each cell, then starts over from the first cell.
+    A vertex is keyed by the sorted tuple of its neighbors' cell indices
+    (kept current through ``cell_of``), which costs O(deg) instead of one
+    count per cell. Groups are ordered by that tuple descending: every
+    vertex of a cell has the same degree, so this is exactly ascending
+    order of the per-cell count vectors.
+
+    Cells come in sorted and stay sorted. Cell order and split order depend
+    only on position and count keys, never on raw vertex ids, so the
+    refinement commutes with relabeling.
     """
-    cells = [sorted(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
-        sets = [frozenset(c) for c in cells]
-        for i, cell in enumerate(cells):
-            if len(cell) == 1:
-                continue
+    cells = list(cells)
+    cell_of = [0] * len(adj)
+    for i, cell in enumerate(cells):
+        for v in cell:
+            cell_of[v] = i
+    i = 0
+    while i < len(cells):
+        cell = cells[i]
+        if len(cell) > 1:
             keyed: dict[tuple, list[int]] = {}
             for v in cell:
-                k = tuple(len(adj_sets[v] & s) for s in sets)
+                k = tuple(sorted([cell_of[w] for w in adj[v]]))
                 keyed.setdefault(k, []).append(v)
             if len(keyed) > 1:
-                cells[i:i + 1] = [sorted(keyed[k]) for k in sorted(keyed)]
-                changed = True
-                break
+                cells[i:i + 1] = [keyed[k] for k in sorted(keyed, reverse=True)]
+                for j in range(i, len(cells)):
+                    for v in cells[j]:
+                        cell_of[v] = j
+                i = 0
+                continue
+        i += 1
     return cells
 
 
@@ -98,36 +159,71 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise InputError(f"canonical_form supports at most {CANON_MAX_N} vertices")
     if g.n == 0:
         return CanonicalForm(b"?", ())
-    adj_sets = [frozenset(r) for r in g.adj]
-    keys = _vertex_keys(g)
+    n = g.n
+    adj = g.adj
     by_key: dict[tuple, list[int]] = {}
-    for v, k in enumerate(keys):
+    for v, k in enumerate(_vertex_keys(adj)):
         by_key.setdefault(k, []).append(v)
-    start = [sorted(by_key[k]) for k in sorted(by_key)]
+    start = [by_key[k] for k in sorted(by_key)]
     edges = g.edges()
-    best_code: Optional[tuple] = None
+    best_code: Optional[list[int]] = None
     best_labeling: Optional[tuple[int, ...]] = None
+    best_order: list[int] = []
+    automorphisms: list[tuple[int, ...]] = []
 
-    def visit(cells: list[list[int]]) -> None:
-        nonlocal best_code, best_labeling
-        cells = _refine(adj_sets, cells)
-        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target is None:
-            pos = {c[0]: i for i, c in enumerate(cells)}
-            code = tuple(sorted(
-                (pos[u], pos[w]) if pos[u] < pos[w] else (pos[w], pos[u])
+    def visit(cells: list[list[int]], path: list[int]) -> None:
+        nonlocal best_code, best_labeling, best_order
+        cells = _refine(adj, cells)
+        if len(cells) == n:
+            pos = [0] * n
+            for i, (v,) in enumerate(cells):
+                pos[v] = i
+            # edge (a, b), a < b, as a * n + b: same order as the pairs
+            code = sorted([
+                pos[u] * n + pos[w] if pos[u] < pos[w] else pos[w] * n + pos[u]
                 for u, w in edges
-            ))
+            ])
             if best_code is None or code < best_code:
                 best_code = code
-                best_labeling = tuple(pos[v] for v in range(len(pos)))
+                best_labeling = tuple(pos)
+                best_order = [c[0] for c in cells]
+            elif code == best_code:
+                # equal codes: the vertex at position p here maps to the
+                # best leaf's vertex at p
+                automorphisms.append(tuple(best_order[p] for p in pos))
             return
+        target = next(i for i, c in enumerate(cells) if len(c) > 1)
         cell = cells[target]
-        for v in cell:
-            rest = [w for w in cell if w != v]
-            visit(cells[:target] + [[v], rest] + cells[target + 1:])
+        # orbits on the target cell of the recorded automorphisms that fix
+        # the path pointwise; those map the node to itself and a child's
+        # subtree onto its image's subtree, codes included
+        orbit = {v: v for v in cell}
 
-    visit(start)
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                orbit[v] = orbit[orbit[v]]
+                v = orbit[v]
+            return v
+
+        absorbed = 0
+        explored: list[int] = []
+        for v in cell:
+            if explored:
+                for gamma in automorphisms[absorbed:]:
+                    if all(gamma[x] == x for x in path):
+                        for x in cell:
+                            a, b = find(x), find(gamma[x])
+                            if a != b:
+                                orbit[max(a, b)] = min(a, b)
+                absorbed = len(automorphisms)
+                root = find(v)
+                if any(find(u) == root for u in explored):
+                    continue
+            rest = [w for w in cell if w != v]
+            visit(cells[:target] + [[v], rest] + cells[target + 1:], path + [v])
+            explored.append(v)
+
+    visit(start, [])
     assert best_labeling is not None
     return CanonicalForm(
         emit_graph6(relabel(g, best_labeling)).encode("ascii"), best_labeling
@@ -153,7 +249,7 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
     adj_sets = [frozenset(r) for r in g.adj]
-    keys = _vertex_keys(g)
+    keys = _vertex_keys(g.adj)
     candidates = [
         tuple(w for w in range(n) if keys[w] == keys[v]) for v in range(n)
     ]

@@ -1,13 +1,15 @@
 """Brute-force oracles, kept deliberately independent of the library's
 algorithms: edge/pair deletion for cuts, permutation scans for isomorphism
-and automorphisms, exhaustive labeled generation, and a second (orderly,
-canonical-matrix) generator for cross-checking the enumerator."""
+and automorphisms, exhaustive labeled generation, a second (orderly,
+canonical-matrix) generator for cross-checking the enumerator, and the
+unpruned canonical-form search with its vertex keys. Only ``graphs`` (the
+graph value, its codec and BFS) is imported from the library."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from cubic_lab.graphs import Graph, build_graph, edge
+from cubic_lab.graphs import Graph, bfs_distances, build_graph, edge, emit_graph6, relabel
 
 
 def _connected_after(g: Graph, banned_edges: set, banned_vertices: set = frozenset()) -> bool:
@@ -262,3 +264,124 @@ def orderly_connected_cubic(n: int):
                 deg[w] -= 1
 
     yield from rows(0)
+
+
+# ---------------------------------------------------------------------------
+# canonical forms: the unpruned individualization-refinement search
+# ---------------------------------------------------------------------------
+# The library prunes its search tree by automorphisms and keys its
+# refinement by neighbor cell indices; this copy rescans every cell against
+# every cell and walks every leaf, so the two must agree on the graph6 bytes
+# and on the labeling (the first leaf reaching the least code).
+
+def oracle_vertex_keys(g: Graph) -> list:
+    keys = []
+    for v in range(g.n):
+        profile = bfs_distances(g, v)
+        dists = tuple(sorted(g.n if d is None else d for d in profile.dist))
+        nbrs = g.adj[v]
+        triangles = sum(
+            1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
+            if g.has_edge(nbrs[i], nbrs[j])
+        )
+        keys.append((len(nbrs), triangles, dists))
+    return keys
+
+
+def _oracle_refine(adj_sets, cells):
+    cells = [sorted(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        sets = [frozenset(c) for c in cells]
+        for i, cell in enumerate(cells):
+            if len(cell) == 1:
+                continue
+            keyed = {}
+            for v in cell:
+                k = tuple(len(adj_sets[v] & s) for s in sets)
+                keyed.setdefault(k, []).append(v)
+            if len(keyed) > 1:
+                cells[i:i + 1] = [sorted(keyed[k]) for k in sorted(keyed)]
+                changed = True
+                break
+    return cells
+
+
+def oracle_canonical_form(g: Graph) -> tuple:
+    """(graph6 bytes, labeling old id -> new id) of the least relabeled edge
+    list over all refinement leaves, the first leaf winning ties."""
+    if g.n == 0:
+        return b"?", ()
+    adj_sets = [frozenset(r) for r in g.adj]
+    by_key = {}
+    for v, k in enumerate(oracle_vertex_keys(g)):
+        by_key.setdefault(k, []).append(v)
+    start = [sorted(by_key[k]) for k in sorted(by_key)]
+    edges = g.edges()
+    best = [None, None]
+
+    def visit(cells):
+        cells = _oracle_refine(adj_sets, cells)
+        target = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if target is None:
+            pos = {c[0]: i for i, c in enumerate(cells)}
+            code = tuple(sorted(
+                (pos[u], pos[w]) if pos[u] < pos[w] else (pos[w], pos[u])
+                for u, w in edges
+            ))
+            if best[0] is None or code < best[0]:
+                best[0] = code
+                best[1] = tuple(pos[v] for v in range(len(pos)))
+            return
+        cell = cells[target]
+        for v in cell:
+            rest = [w for w in cell if w != v]
+            visit(cells[:target] + [[v], rest] + cells[target + 1:])
+
+    visit(start)
+    return emit_graph6(relabel(g, best[1])).encode("ascii"), best[1]
+
+
+def oracle_cheap_vertex_keys(adj) -> list:
+    """The enumerator's former root-filter keys on raw adjacency lists; a
+    leaf survives the filter iff vertex 0 holds the least key."""
+    n = len(adj)
+    keys = []
+    for v in range(n):
+        dist = [-1] * n
+        dist[v] = 0
+        queue = [v]
+        head = 0
+        while head < len(queue):
+            x = queue[head]
+            head += 1
+            for w in adj[x]:
+                if dist[w] < 0:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        nbrs = adj[v]
+        tri = sum(
+            1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
+            if nbrs[j] in adj[nbrs[i]]
+        )
+        keys.append((tri, tuple(sorted(dist))))
+    return keys
+
+
+def oracle_block_swap_lowers(adj, blocks) -> bool:
+    """Whether swapping two same-block fresh siblings, neither of which owns
+    a block, lowers the fully re-sorted edge list."""
+    base = sorted((u, w) for u in range(len(adj)) for w in adj[u] if u < w)
+    owners = {owner for owner, _, _ in blocks}
+    for _, start, size in blocks:
+        for f in range(start, start + size - 1):
+            if f in owners or f + 1 in owners:
+                continue
+            swap = {f: f + 1, f + 1: f}
+            swapped = sorted(
+                tuple(sorted((swap.get(u, u), swap.get(w, w)))) for u, w in base
+            )
+            if swapped < base:
+                return True
+    return False

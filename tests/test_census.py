@@ -1,9 +1,12 @@
 import pytest
 
+from cubic_lab import census
 from cubic_lab.census import (
     BridgeTreeReport,
     CensusRow,
+    _block_swap_reducible,
     _is_complete_tree,
+    _saturation_leaves,
     _size_in_window,
     census_csv,
     census_json,
@@ -19,9 +22,11 @@ from cubic_lab.census import (
 from cubic_lab.connectivity import find_bridges
 from cubic_lab.errors import InputError
 from cubic_lab.graphs import build_graph, emit_graph6, is_connected, is_cubic
-from cubic_lab.symmetry import canonical_form
+from cubic_lab.hamilton import has_hamiltonian_cycle
+from cubic_lab.symmetry import canonical_form, vertex_zero_key_is_least
 
 from conftest import make_dumbbell
+from oracles import oracle_block_swap_lowers, oracle_cheap_vertex_keys
 
 
 class TestEnumerate:
@@ -67,6 +72,37 @@ class TestEnumerate:
         got = {canonical_form(g).graph6 for g in enumerate_cubic(6)}
         want = {canonical_form(k33).graph6, canonical_form(prism).graph6}
         assert got == want
+
+
+class TestRootFilterAndShards:
+    def test_root_filter_matches_full_key_rule(self):
+        checked = 0
+        for n in range(4, 11, 2):
+            for adj, _ in _saturation_leaves(n):
+                keys = oracle_cheap_vertex_keys(adj)
+                assert vertex_zero_key_is_least(adj) == (keys[0] == min(keys)), adj
+                checked += 1
+        assert checked == 1 + 5 + 50 + 639
+
+    def test_block_swap_matches_full_resort(self):
+        checked = 0
+        for n in range(4, 13, 2):
+            for adj, blocks in _saturation_leaves(n):
+                want = oracle_block_swap_lowers(adj, blocks)
+                assert _block_swap_reducible(adj, blocks) == want, (adj, blocks)
+                checked += want
+        assert checked > 0
+
+    def test_sharded_walk_same_for_every_jobs_value(self, monkeypatch):
+        results = []
+        for jobs in (1, 2, 3):
+            # a fresh cache, so every jobs value walks the tree itself
+            monkeypatch.setattr(census, "_ENUMERATED", {})
+            rows = census_table(4, 12, jobs=jobs)
+            graphs = {n: enumerate_cubic(n) for n in range(4, 13, 2)}
+            results.append((rows, graphs))
+        assert results[0] == results[1] == results[2]
+        assert [row.total_cubic for row in results[0][0]] == [1, 2, 5, 19, 85]
 
 
 class TestCensusTable:
@@ -117,6 +153,15 @@ class TestCensusTable:
         assert facts["class"] == "three-connected"
         assert facts["is_hamiltonian"] is False
         assert facts["certificate"] == "exhausted"
+
+    def test_classify_graph_hamiltonicity_matches_solver(self):
+        # bridge graphs skip the solver; the facts must be what it reports
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                facts = classify_graph(g)
+                ham = has_hamiltonian_cycle(g)
+                assert facts["is_hamiltonian"] == ham.is_hamiltonian
+                assert facts["certificate"] == ham.certificate_kind
 
     def test_classify_graph6_wraps_classify_graph(self, d8, dumbbell):
         for g in (d8, dumbbell):

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import build_graph, edge, relabel
+from cubic_lab.graphs import build_graph, edge, induced_subgraph, parse_graph6, relabel
 from cubic_lab.symmetry import (
     CANON_MAX_N,
     GROUP_MAX_N,
@@ -18,7 +18,7 @@ from cubic_lab.symmetry import (
     vertex_stabilizer,
 )
 
-from oracles import oracle_automorphisms, oracle_isomorphic
+from oracles import oracle_automorphisms, oracle_canonical_form, oracle_isomorphic
 
 
 class TestCanonicalForm:
@@ -61,6 +61,64 @@ class TestCanonicalForm:
             assert are_isomorphic(a, b) == oracle_isomorphic(a, b)
         for g in graphs:
             assert are_isomorphic(g, g)
+
+
+def _cube():
+    return build_graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
+class TestCanonicalFormMatchesUnprunedSearch:
+    """The pruned search must return exactly what walking every leaf of the
+    same tree returns: the same graph6 bytes and the same labeling."""
+
+    def _check(self, g):
+        cf = canonical_form(g)
+        assert (cf.graph6, cf.labeling) == oracle_canonical_form(g), g
+
+    def test_every_class_up_to_12_and_relabelings(self):
+        from cubic_lab.census import enumerate_cubic
+
+        rng = random.Random(2024)
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                self._check(g)
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    self._check(relabel(g, perm))
+
+    def test_named_graphs(self, k4, k33, prism, petersen, dumbbell):
+        rng = random.Random(5)
+        for g in (k4, k33, prism, _cube(), petersen, dumbbell):
+            self._check(g)
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            self._check(relabel(g, perm))
+
+    def test_unions_of_key_alike_graphs(self):
+        # every vertex of these cubic graphs has the same vertex key, yet
+        # each graph has two vertex orbits: below the root, target cells mix
+        # orbits, which is where a subtree wrongly taken for an image of an
+        # earlier one would change the result
+        pairs = [("K??Z@PP`d_X?", "K??i``Hacg[?"), ("I??ysr_w?", "I??ysr_w?")]
+        rng = random.Random(1)
+        for a, b in pairs:
+            ga, gb = parse_graph6(a), parse_graph6(b)
+            union = build_graph(ga.n + gb.n, list(ga.edges()) + [
+                (u + ga.n, w + ga.n) for u, w in gb.edges()
+            ])
+            for _ in range(2):
+                perm = list(range(union.n))
+                rng.shuffle(perm)
+                self._check(relabel(union, perm))
+
+    def test_induced_subgraphs(self, petersen, dumbbell, d8):
+        # mixed degrees and disconnected pieces, as construction sides have
+        rng = random.Random(9)
+        for g in (petersen, dumbbell, d8, _cube()):
+            for _ in range(6):
+                keep = [v for v in range(g.n) if rng.random() < 0.75]
+                self._check(induced_subgraph(g, keep)[0])
 
 
 class TestAreIsomorphic:
