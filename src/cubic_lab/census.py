@@ -42,10 +42,12 @@ from .graphs import (
     parse_graph6,
 )
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
-from .reduction import int_fifth_root
+from .reduction import int_fifth_root, nearest_vertices
 from .symmetry import (
     GROUP_MAX_N,
     MODE_FULL,
+    _canonical_graph6,
+    _search,
     canonical_form,
     distinct_cycle_edges,
     vertex_zero_key_is_least,
@@ -158,7 +160,9 @@ def _block_swap_reducible(adj: list[list[int]], blocks: list[tuple[int, int, int
 def _walk_share(n: int, share: int, shares: int) -> set[bytes]:
     """Canonical graph6 forms of the saturation leaves whose index is
     ``share`` mod ``shares`` and that pass both filters. The block swap
-    test goes first because it is the cheaper one."""
+    test goes first because it is the cheaper one. The search runs
+    uncached: a labeled leaf is never looked up again, and caching it would
+    only evict ``canonical_form`` entries that are."""
     found: set[bytes] = set()
     for index, (adj, blocks) in enumerate(_saturation_leaves(n)):
         if index % shares != share:
@@ -168,7 +172,7 @@ def _walk_share(n: int, share: int, shares: int) -> set[bytes]:
         if not vertex_zero_key_is_least(adj):
             continue
         g = Graph(n, tuple(tuple(sorted(row)) for row in adj))
-        found.add(canonical_form(g).graph6)
+        found.add(_canonical_graph6(g, _search(g)[0]))
     return found
 
 
@@ -393,12 +397,8 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
             k = distinct_cycle_edges(side_sub, MODE_FULL).count
             if k < 1:
                 continue
-            m = int_fifth_root(k)
             profile = bfs_distances(side_sub, remap[root])
-            ordered = sorted(range(side_sub.n), key=lambda v: (profile.dist[v], v))
-            chosen = ordered[:m]
-            deepest = max(profile.dist[v] for v in chosen)
-            region = [v for v in chosen if profile.dist[v] < deepest]
+            region = nearest_vertices(range(side_sub.n), profile.dist, int_fifth_root(k))
             if not region:
                 continue
             region_sub, region_map = induced_subgraph(side_sub, region)

@@ -29,7 +29,7 @@ that build states with larger k by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
@@ -161,10 +161,20 @@ def nearest_region(st: ReducibleState) -> frozenset[int]:
         raise InputError(
             f"region underflow: side has {len(st.side)} vertices, need {m}"
         )
-    ordered = sorted(st.side, key=lambda v: (st.profile.dist[v], v))
-    chosen = ordered[:m]
-    deepest = max(st.profile.dist[v] for v in chosen)
-    return frozenset(v for v in chosen if st.profile.dist[v] < deepest)
+    return nearest_vertices(st.side, st.profile.dist, m)
+
+
+def nearest_vertices(
+    vertices: Iterable[int], dist: Sequence[Optional[int]], m: int
+) -> frozenset[int]:
+    """The m of ``vertices`` nearest the root by ``dist`` (all of them if
+    there are fewer), minus the deepest layer of that selection. That is
+    every vertex shallower than the m-th nearest, so how ties inside a
+    layer break (by vertex id) cannot change it. Shared by
+    ``nearest_region`` and the census complete-tree probe."""
+    chosen = sorted(vertices, key=lambda v: (dist[v], v))[:m]
+    deepest = max(dist[v] for v in chosen)
+    return frozenset(v for v in chosen if dist[v] < deepest)
 
 
 def extract_region(st: ReducibleState) -> APrimeRegion:

@@ -1,11 +1,14 @@
 """Exact isomorphism machinery for desk-scale graphs.
 
-Canonical forms come from an individualization-refinement search that keeps
-the lexicographically least relabeled edge list over all refinement leaves,
-so equality of canonical byte strings is exactly isomorphism (no heuristic
-invariants stand in for the search). Sizes are capped because the census
-workloads this package targets never exceed a few dozen vertices and
-exactness matters more than asymptotics here.
+One search serves everything here. Canonical forms come from an
+individualization-refinement search that keeps the lexicographically least
+relabeled edge list over all refinement leaves, so equality of canonical
+byte strings is exactly isomorphism (no heuristic invariants stand in for
+the search). The same search records an automorphism at every leaf whose
+code equals the best one, and the automorphism group is the closure of
+those. Sizes are capped because the census workloads this package targets
+never exceed a few dozen vertices and exactness matters more than
+asymptotics here.
 
 The root partition groups vertices by ``_vertex_keys`` (degree, triangles,
 sorted BFS distances), the same keys the enumerator's root filter uses.
@@ -16,7 +19,31 @@ sibling under the recorded automorphisms that fix the current path is
 skipped. A skipped subtree holds the same codes as the earlier one it is
 an image of, so the least code is unchanged, and no leaf in it comes first
 with that code, so the labeling is unchanged too: the result is exactly
-that of the walk over every leaf.
+that of the walk over every leaf. By the same argument the search from any
+node reaches the least code of that node's full subtree.
+
+Lemma: the recorded automorphisms generate Aut(G). Let z* be the first
+leaf reaching the least code, on the path m_0 < m_1 < ... < m_L, where m_k
+has individualized v_1, ..., v_k, and let A_k be the automorphisms fixing
+v_1, ..., v_k. By descending induction on k, the recorded automorphisms R
+generate A_k.
+  - k = L: a leaf partition is discrete and refinement is equivariant, so
+    A_L is trivial.
+  - k < L: take g in A_k. It fixes the partition at m_k, so w = g(v_{k+1})
+    lies in the target cell there, and the subtree at w is the g-image of
+    the one at v_{k+1}, so it holds the least code. If w was skipped, it is
+    d(u) for an explored sibling u and a product d of recorded
+    automorphisms that fix v_1, ..., v_k; replace g by d^-1 g and w by u.
+    Now w is explored. Had it come before v_{k+1}, the search would have
+    reached the least code in its subtree before z*. So w is v_{k+1} (g is
+    in A_{k+1}) or a later sibling, where the search reaches a leaf z' with
+    the least code while z* is already best and records the map h: z' ->
+    z*. Refinement splits cells in place, so a vertex keeps its position
+    once it is a singleton, and the individualized vertex takes the first
+    position of the target cell: h fixes v_1, ..., v_k and sends w to
+    v_{k+1}, so h g lies in A_{k+1}, which R generates.
+With k = 0, R generates Aut(G). ``automorphism_group`` still checks every
+recorded permutation against the edge set.
 
 "Distinct" edges follow the orbit view: two edges are interchangeable when
 some admitted automorphism maps one onto the other. The admitted group is
@@ -85,7 +112,7 @@ def _distances(adj: Sequence[Sequence[int]], v: int) -> tuple[int, ...]:
 def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple]:
     """Cheap isomorphism-invariant vertex signatures on adjacency lists:
     (degree, triangles through v, sorted BFS distances from v). They seed
-    the refinement and prune the automorphism search."""
+    the refinement."""
     return [
         (len(adj[v]), _triangles(adj, v), _distances(adj, v))
         for v in range(len(adj))
@@ -149,16 +176,11 @@ def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[i
     return cells
 
 
-@lru_cache(maxsize=16384)
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Deterministic, relabeling-invariant canonical form.
-
-    The empty graph maps to the fixed sentinel b"?" (its graph6 encoding).
-    """
-    if g.n > CANON_MAX_N:
-        raise InputError(f"canonical_form supports at most {CANON_MAX_N} vertices")
-    if g.n == 0:
-        return CanonicalForm(b"?", ())
+def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The individualization-refinement search on a graph with n >= 1:
+    the labeling (old id -> new id) of the first leaf reaching the least
+    code, and the automorphisms recorded at leaves with equal codes. No cap
+    and no cache; ``canonical_form`` and ``automorphism_group`` add both."""
     n = g.n
     adj = g.adj
     by_key: dict[tuple, list[int]] = {}
@@ -225,9 +247,26 @@ def canonical_form(g: Graph) -> CanonicalForm:
 
     visit(start, [])
     assert best_labeling is not None
-    return CanonicalForm(
-        emit_graph6(relabel(g, best_labeling)).encode("ascii"), best_labeling
-    )
+    return best_labeling, automorphisms
+
+
+def _canonical_graph6(g: Graph, labeling: Sequence[int]) -> bytes:
+    """The graph6 bytes of g relabeled by the search's labeling."""
+    return emit_graph6(relabel(g, labeling)).encode("ascii")
+
+
+@lru_cache(maxsize=16384)
+def canonical_form(g: Graph) -> CanonicalForm:
+    """Deterministic, relabeling-invariant canonical form.
+
+    The empty graph maps to the fixed sentinel b"?" (its graph6 encoding).
+    """
+    if g.n > CANON_MAX_N:
+        raise InputError(f"canonical_form supports at most {CANON_MAX_N} vertices")
+    if g.n == 0:
+        return CanonicalForm(b"?", ())
+    labeling, _ = _search(g)
+    return CanonicalForm(_canonical_graph6(g, labeling), labeling)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -240,46 +279,31 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
 def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The full automorphism group as explicit permutations (perm[old] = new).
 
-    Backtracking over vertex images, pruned by the vertex signatures and by
-    adjacency consistency with everything already mapped.
+    The permutations are the closure, by breadth-first search from the
+    identity, of the automorphisms the canonical search records at leaves
+    with equal codes; those generate the whole group (module docstring).
     """
     if g.n > GROUP_MAX_N:
         raise InputError(f"automorphism_group supports at most {GROUP_MAX_N} vertices")
     n = g.n
     if n == 0:
         return ((),)
-    adj_sets = [frozenset(r) for r in g.adj]
-    keys = _vertex_keys(g.adj)
-    candidates = [
-        tuple(w for w in range(n) if keys[w] == keys[v]) for v in range(n)
-    ]
-    perms: list[tuple[int, ...]] = []
-    perm = [-1] * n
-    used = [False] * n
-
-    def extend(v: int) -> None:
-        if v == n:
-            perms.append(tuple(perm))
-            return
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(v):
-                if (u in adj_sets[v]) != (perm[u] in adj_sets[w]):
-                    ok = False
-                    break
-            if ok:
-                perm[v] = w
-                used[w] = True
-                extend(v + 1)
-                used[w] = False
-                perm[v] = -1
-
-    extend(0)
-    if tuple(range(n)) not in perms:
-        raise InvariantError("automorphism search lost the identity")
-    return tuple(sorted(perms))
+    _, generators = _search(g)
+    edges = set(g.edges())
+    for gamma in generators:
+        image = {(min(gamma[u], gamma[w]), max(gamma[u], gamma[w])) for u, w in edges}
+        if image != edges:
+            raise InvariantError("canonical search recorded a non-automorphism")
+    identity = tuple(range(n))
+    group = {identity}
+    queue = [identity]
+    for p in queue:
+        for gamma in generators:
+            q = tuple([gamma[x] for x in p])
+            if q not in group:
+                group.add(q)
+                queue.append(q)
+    return tuple(sorted(group))
 
 
 def vertex_stabilizer(g: Graph, v: int) -> tuple[tuple[int, ...], ...]:

@@ -1,9 +1,10 @@
 """Brute-force oracles, kept deliberately independent of the library's
 algorithms: edge/pair deletion for cuts, permutation scans for isomorphism
 and automorphisms, exhaustive labeled generation, a second (orderly,
-canonical-matrix) generator for cross-checking the enumerator, and the
-unpruned canonical-form search with its vertex keys. Only ``graphs`` (the
-graph value, its codec and BFS) is imported from the library."""
+canonical-matrix) generator for cross-checking the enumerator, the
+unpruned canonical-form search with its vertex keys, and the vertex-image
+automorphism backtracker. Only ``graphs`` (the graph value, its codec and
+BFS) is imported from the library."""
 
 from __future__ import annotations
 
@@ -210,6 +211,24 @@ def _has_greater_labeling(adj_sets, n) -> bool:
     return place([])
 
 
+def _transposition_raises(adj_sets, last: int, i: int) -> bool:
+    """Whether exchanging i and i + 1 in the order 0..last makes its
+    column-order bit string greater. Columns before i keep their bits.
+    Column i becomes i + 1's bits over rows 0..i-1 in place of i's; when
+    those agree, column i + 1 agrees too, and every later column d only
+    exchanges its adjacent bits for rows i and i + 1, so the first d
+    adjacent to exactly one of them decides."""
+    moved = [j in adj_sets[i + 1] for j in range(i)]
+    stayed = [j in adj_sets[i] for j in range(i)]
+    if moved != stayed:
+        return moved > stayed
+    for d in range(i + 2, last + 1):
+        to_i, to_next = i in adj_sets[d], i + 1 in adj_sets[d]
+        if to_i != to_next:
+            return to_next
+    return False
+
+
 def orderly_connected_cubic(n: int):
     """Second generation strategy: build rows in order, prune prefixes that
     an adjacent transposition would increase, and keep leaves whose matrix
@@ -218,13 +237,7 @@ def orderly_connected_cubic(n: int):
     deg = [0] * n
 
     def prefix_beaten(u: int) -> bool:
-        order = list(range(u + 1))
-        base = _column_prefix(adj_sets, order)
-        for i in range(u):
-            swapped = order[:i] + [i + 1, i] + order[i + 2:]
-            if _column_prefix(adj_sets, swapped) > base:
-                return True
-        return False
+        return any(_transposition_raises(adj_sets, u, i) for i in range(u))
 
     def feasible(u: int) -> bool:
         future = range(u + 1, n)
@@ -341,6 +354,72 @@ def oracle_canonical_form(g: Graph) -> tuple:
 
     visit(start)
     return emit_graph6(relabel(g, best[1])).encode("ascii"), best[1]
+
+
+# ---------------------------------------------------------------------------
+# automorphism groups: the former vertex-image backtracker
+# ---------------------------------------------------------------------------
+# The library now takes the closure of the automorphisms its canonical search
+# records; this is the backtracker it replaced, with no size cap.
+
+def oracle_automorphism_group(g: Graph) -> tuple:
+    """The full automorphism group as sorted permutations (perm[old] = new):
+    backtracking over vertex images, pruned by the vertex keys and by
+    adjacency consistency with everything already mapped."""
+    n = g.n
+    if n == 0:
+        return ((),)
+    adj_sets = [frozenset(r) for r in g.adj]
+    keys = oracle_vertex_keys(g)
+    candidates = [
+        tuple(w for w in range(n) if keys[w] == keys[v]) for v in range(n)
+    ]
+    perms = []
+    perm = [-1] * n
+    used = [False] * n
+
+    def extend(v: int) -> None:
+        if v == n:
+            perms.append(tuple(perm))
+            return
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            ok = True
+            for u in range(v):
+                if (u in adj_sets[v]) != (perm[u] in adj_sets[w]):
+                    ok = False
+                    break
+            if ok:
+                perm[v] = w
+                used[w] = True
+                extend(v + 1)
+                used[w] = False
+                perm[v] = -1
+
+    extend(0)
+    return tuple(sorted(perms))
+
+
+def oracle_edge_orbits(g: Graph, perms) -> tuple:
+    """Edge orbits under the given permutations, each sorted, ordered by
+    their least edge: grow each orbit by applying every permutation."""
+    seen = set()
+    orbits = []
+    for e in g.edges():
+        if e in seen:
+            continue
+        orbit = {e}
+        frontier = [e]
+        for u, w in frontier:
+            for p in perms:
+                image = edge(p[u], p[w])
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        seen |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def oracle_cheap_vertex_keys(adj) -> list:

@@ -20,6 +20,7 @@ from cubic_lab.reduction import (
     int_fifth_root,
     make_reducible_state,
     nearest_region,
+    nearest_vertices,
     reduce_adjacent_triangles,
     reduce_from_state,
     reduce_horizontal_edge,
@@ -114,6 +115,40 @@ class TestNearestRegion:
         assert st.graph_cycle_orbits == 7
         with pytest.raises(InputError, match="region underflow"):
             nearest_region(st)
+
+
+class TestNearestVertices:
+    # distances from a root at vertex 3; None marks a vertex off the side
+    DIST = [2, 1, 1, 0, 2, None, 2, 3]
+    SIDE = [0, 1, 2, 3, 4, 6, 7]
+
+    def test_ties_break_by_id_and_deepest_layer_drops(self):
+        # order by (distance, id): 3, 1, 2, 0, 4, 6, 7
+        assert nearest_vertices(self.SIDE, self.DIST, 4) == frozenset({3, 1, 2})
+        assert nearest_vertices(self.SIDE, self.DIST, 5) == frozenset({3, 1, 2})
+        assert nearest_vertices(self.SIDE, self.DIST, 2) == frozenset({3})
+        assert nearest_vertices(self.SIDE, self.DIST, 1) == frozenset()
+
+    def test_tie_break_inside_a_layer_cannot_change_the_result(self):
+        # the cut falls inside the deepest chosen layer, which drops whole,
+        # so the result is every vertex shallower than the m-th nearest
+        depths = sorted(self.DIST[v] for v in self.SIDE)
+        for m in range(1, len(self.SIDE) + 1):
+            shallower = {v for v in self.SIDE if self.DIST[v] < depths[m - 1]}
+            assert nearest_vertices(self.SIDE, self.DIST, m) == shallower
+
+    def test_capped_side_takes_every_vertex(self):
+        # m beyond the side: all seven are chosen, the depth-3 vertex drops
+        assert nearest_vertices(self.SIDE, self.DIST, 32) == frozenset({0, 1, 2, 3, 4, 6})
+
+    def test_order_of_input_does_not_matter(self):
+        assert nearest_vertices(reversed(self.SIDE), self.DIST, 4) == frozenset({3, 1, 2})
+
+    def test_matches_nearest_region(self, dumbbell):
+        st = make_reducible_state(
+            dumbbell, 4, frozenset(range(5)), edge(4, 9), side_cycle_orbits=3 ** 5
+        )
+        assert nearest_region(st) == nearest_vertices(st.side, st.profile.dist, 3)
 
 
 class TestClassifyRegion:

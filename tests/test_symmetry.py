@@ -3,7 +3,8 @@ from itertools import combinations
 
 import pytest
 
-from cubic_lab.errors import InputError
+from cubic_lab import symmetry
+from cubic_lab.errors import InputError, InvariantError
 from cubic_lab.graphs import build_graph, edge, induced_subgraph, parse_graph6, relabel
 from cubic_lab.symmetry import (
     CANON_MAX_N,
@@ -18,7 +19,13 @@ from cubic_lab.symmetry import (
     vertex_stabilizer,
 )
 
-from oracles import oracle_automorphisms, oracle_canonical_form, oracle_isomorphic
+from oracles import (
+    oracle_automorphism_group,
+    oracle_automorphisms,
+    oracle_canonical_form,
+    oracle_edge_orbits,
+    oracle_isomorphic,
+)
 
 
 class TestCanonicalForm:
@@ -161,6 +168,112 @@ class TestAutomorphismGroup:
         big = build_graph(GROUP_MAX_N + 2, [(0, 1)])
         with pytest.raises(InputError):
             automorphism_group(big)
+
+
+def _union(a, b):
+    ga, gb = parse_graph6(a), parse_graph6(b)
+    return build_graph(ga.n + gb.n, list(ga.edges()) + [
+        (u + ga.n, w + ga.n) for u, w in gb.edges()
+    ])
+
+
+def _breadth_first_relabeling(g, rng):
+    """g renumbered in the order of a breadth-first search per component,
+    with components, roots and neighbor order drawn from rng."""
+    order = []
+    seen = set()
+    roots = list(range(g.n))
+    rng.shuffle(roots)
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        queue = [root]
+        for x in queue:
+            order.append(x)
+            nbrs = list(g.adj[x])
+            rng.shuffle(nbrs)
+            for w in nbrs:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+    perm = [0] * g.n
+    for new, old in enumerate(order):
+        perm[old] = new
+    return relabel(g, perm)
+
+
+class TestAutomorphismGroupMatchesBacktracker:
+    """The closure of the canonical search's recorded automorphisms must be
+    the group the vertex-image backtracker finds, and the edge orbits read
+    from it must be the orbits of the backtracker's group, in full mode and
+    in stabilizer mode at every root."""
+
+    def _check(self, g):
+        perms = oracle_automorphism_group(g)
+        assert automorphism_group(g) == perms, g
+        assert edge_orbits(g, MODE_FULL).orbits == oracle_edge_orbits(g, perms), g
+        for root in range(g.n):
+            stab = [p for p in perms if p[root] == root]
+            got = edge_orbits(g, MODE_STABILIZER, root=root).orbits
+            assert got == oracle_edge_orbits(g, stab), (g, root)
+
+    def test_every_class_up_to_12_and_a_relabeling(self):
+        from cubic_lab.census import enumerate_cubic
+
+        rng = random.Random(4)
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                self._check(g)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                self._check(relabel(g, perm))
+
+    def test_construction_sides_up_to_12(self):
+        from cubic_lab.census import enumerate_cubic
+        from cubic_lab.connectivity import classify_connectivity
+        from cubic_lab.construction import bridge_construct
+
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                if not classify_connectivity(g).is_biconnected:
+                    continue
+                rec = bridge_construct(g)
+                bb = rec.chosen_bibridge
+                self._check(induced_subgraph(g, bb.side_a)[0])
+                self._check(induced_subgraph(g, bb.side_b)[0])
+                self._check(rec.side_subgraph()[0])
+
+    def test_induced_subgraphs(self, petersen, dumbbell, d8):
+        rng = random.Random(13)
+        for g in (petersen, dumbbell, d8, _cube()):
+            for _ in range(6):
+                keep = [v for v in range(g.n) if rng.random() < 0.75]
+                self._check(induced_subgraph(g, keep)[0])
+
+    def test_unions_of_key_alike_graphs(self, monkeypatch):
+        # 24 and 20 vertices: past the published group cap, which is lifted
+        # to the canonical cap here so the group itself can be compared.
+        # The backtracker prunes only by adjacency to vertices it has
+        # already mapped, so it gets seeded breadth-first labelings: on
+        # uniformly random ones it needs tens of seconds per union
+        monkeypatch.setattr(symmetry, "GROUP_MAX_N", CANON_MAX_N)
+        rng = random.Random(1)
+        for a, b in [("K??Z@PP`d_X?", "K??i``Hacg[?"), ("I??ysr_w?", "I??ysr_w?")]:
+            union = _union(a, b)
+            for _ in range(2):
+                self._check(_breadth_first_relabeling(union, rng))
+
+    def test_non_automorphism_generator_raises(self, monkeypatch, path3):
+        search = symmetry._search
+
+        def with_bogus_generator(g):
+            labeling, generators = search(g)
+            return labeling, generators + [(1, 0, 2)]  # sends (1, 2) to (0, 2)
+
+        monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
+        with pytest.raises(InvariantError):
+            automorphism_group.__wrapped__(path3)
 
 
 class TestEdgeOrbits:
