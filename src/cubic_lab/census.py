@@ -44,7 +44,7 @@ from .graphs import (
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .reduction import int_fifth_root, nearest_vertices
 from .symmetry import (
-    GROUP_MAX_N,
+    CANON_MAX_N,
     MODE_FULL,
     _canonical_graph6,
     _search,
@@ -388,7 +388,7 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
     if not bridges:
         raise InputError("is_complete_tree_at_bridge requires a bridge graph")
     whole = (
-        distinct_cycle_edges(h, MODE_FULL).count if h.n <= GROUP_MAX_N else None
+        distinct_cycle_edges(h, MODE_FULL).count if h.n <= CANON_MAX_N else None
     )
     for br in bridges:
         for root in br:

@@ -69,7 +69,8 @@ class ConstructionRecord:
 
     @cached_property
     def _side_with_bridges(self) -> tuple[Graph, dict[int, int], frozenset[Edge]]:
-        # built once per record: every cycle_insertion of a family needs it
+        # built once per record: every cycle_insertion of a family, the
+        # depth report and the bridgeless check need it
         side, remap = self.side_subgraph()
         return side, remap, frozenset(find_bridges(side))
 
@@ -176,7 +177,7 @@ class DepthBoundReport:
 
 
 def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
-    side, remap = rec.side_subgraph()
+    side, remap, _ = rec._side_with_bridges
     root = remap[rec.root]
     full = len(edge_orbits(side, MODE_FULL).orbits)
     stab = len(edge_orbits(side, MODE_STABILIZER, root).orbits)
@@ -204,8 +205,8 @@ def active_side_bridgeless(rec: ConstructionRecord) -> bool:
     Expected true for every record the construction emits; callers treat a
     false return as a construction bug.
     """
-    side, _ = rec.side_subgraph()
-    return not find_bridges(side)
+    _, _, side_bridges = rec._side_with_bridges
+    return not side_bridges
 
 
 _Pairing = tuple[tuple[int, int], tuple[int, int]]

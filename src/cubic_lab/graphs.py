@@ -266,10 +266,6 @@ def parse_graph6_lines(text: str) -> list[Graph]:
     return [parse_graph6(line) for line in text.splitlines() if line.strip()]
 
 
-def emit_graph6_lines(graphs: Iterable[Graph]) -> str:
-    return "".join(emit_graph6(g) + "\n" for g in graphs)
-
-
 # ---------------------------------------------------------------------------
 # plain edge-list format: first line "n m", then m lines "u v"
 # ---------------------------------------------------------------------------

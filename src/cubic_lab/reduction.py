@@ -48,7 +48,7 @@ from .graphs import (
     remove_edges,
     remove_vertices,
 )
-from .symmetry import GROUP_MAX_N, MODE_FULL, distinct_cycle_edges
+from .symmetry import CANON_MAX_N, MODE_FULL, distinct_cycle_edges
 from .construction import ConstructionRecord, cycle_insertion
 
 
@@ -93,7 +93,7 @@ def make_reducible_state(
         raise InputError("side has no cycle edges at all")
     k_whole = (
         distinct_cycle_edges(graph, MODE_FULL).count
-        if graph.n <= GROUP_MAX_N
+        if graph.n <= CANON_MAX_N
         else None
     )
     return ReducibleState(graph, root, side, bridge, profile, k_side, k_whole)

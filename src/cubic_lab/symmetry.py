@@ -5,12 +5,13 @@ individualization-refinement search that keeps the lexicographically least
 relabeled edge list over all refinement leaves, so equality of canonical
 byte strings is exactly isomorphism (no heuristic invariants stand in for
 the search). The same search records an automorphism at every leaf whose
-code equals the best one, and the automorphism group is the closure of
-those. Sizes are capped because the census workloads this package targets
+code equals the best one. Those generate the automorphism group: its
+explicit listing is their closure, and edge orbits come from them directly.
+Sizes are capped because the census workloads this package targets
 never exceed a few dozen vertices and exactness matters more than
 asymptotics here.
 
-The root partition groups vertices by ``_vertex_keys`` (degree, triangles,
+The starting partition groups vertices by ``_vertex_keys`` (degree, triangles,
 sorted BFS distances), the same keys the enumerator's root filter uses.
 Refinement keys a vertex by the sorted cell indices of its neighbors. The
 search skips subtrees that are images of earlier ones: two leaves with
@@ -42,8 +43,17 @@ generate A_k.
     once it is a singleton, and the individualized vertex takes the first
     position of the target cell: h fixes v_1, ..., v_k and sends w to
     v_{k+1}, so h g lies in A_{k+1}, which R generates.
-With k = 0, R generates Aut(G). ``automorphism_group`` still checks every
-recorded permutation against the edge set.
+With k = 0, R generates Aut(G).
+
+Stabilizer mode runs the same search with a root r split out of its key
+cell as a singleton placed first, as ``visit`` individualizes a vertex;
+call that node m_0. Every automorphism preserves the key partition, so the
+automorphisms that preserve m_0 are exactly those fixing r. The induction
+above, started at m_0 with A_k the automorphisms fixing r, v_1, ..., v_k,
+goes through unchanged: r keeps its position at every node below m_0, so
+every recorded map fixes it, and at k = 0 R generates Stab(r). In either
+mode the edge orbits are the classes of edges that R joins, so no group is
+listed. Every recorded permutation is still checked against the edge set.
 
 "Distinct" edges follow the orbit view: two edges are interchangeable when
 some admitted automorphism maps one onto the other. The admitted group is
@@ -176,17 +186,27 @@ def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[i
     return cells
 
 
-def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _search(g: Graph, root: Optional[int] = None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """The individualization-refinement search on a graph with n >= 1:
     the labeling (old id -> new id) of the first leaf reaching the least
-    code, and the automorphisms recorded at leaves with equal codes. No cap
-    and no cache; ``canonical_form`` and ``automorphism_group`` add both."""
+    code, and the automorphisms recorded at leaves with equal codes. With a
+    root, the search starts with the root split out of its key cell as a
+    singleton placed first, so every recorded automorphism fixes it and
+    together they generate its stabilizer (module docstring). No cap and no
+    cache; ``canonical_form`` and ``automorphism_group`` add both, and
+    ``edge_orbits`` adds the cap."""
     n = g.n
     adj = g.adj
     by_key: dict[tuple, list[int]] = {}
     for v, k in enumerate(_vertex_keys(adj)):
         by_key.setdefault(k, []).append(v)
     start = [by_key[k] for k in sorted(by_key)]
+    path: list[int] = []
+    if root is not None:
+        i = next(i for i, c in enumerate(start) if root in c)
+        rest = [w for w in start[i] if w != root]
+        start[i:i + 1] = [[root], rest] if rest else [[root]]
+        path.append(root)
     edges = g.edges()
     best_code: Optional[list[int]] = None
     best_labeling: Optional[tuple[int, ...]] = None
@@ -245,7 +265,7 @@ def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
             visit(cells[:target] + [[v], rest] + cells[target + 1:], path + [v])
             explored.append(v)
 
-    visit(start, [])
+    visit(start, path)
     assert best_labeling is not None
     return best_labeling, automorphisms
 
@@ -275,6 +295,16 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return canonical_form(g).graph6 == canonical_form(h).graph6
 
 
+def _check_automorphisms(g: Graph, perms: Sequence[Sequence[int]], root: Optional[int] = None) -> None:
+    """Raise InvariantError unless every permutation the search recorded
+    maps the edge set onto itself (and fixes the root, when one is given)."""
+    edges = set(g.edges())
+    for gamma in perms:
+        image = {(min(gamma[u], gamma[w]), max(gamma[u], gamma[w])) for u, w in edges}
+        if image != edges or (root is not None and gamma[root] != root):
+            raise InvariantError("canonical search recorded a non-automorphism")
+
+
 @lru_cache(maxsize=4096)
 def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     """The full automorphism group as explicit permutations (perm[old] = new).
@@ -289,11 +319,7 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
     _, generators = _search(g)
-    edges = set(g.edges())
-    for gamma in generators:
-        image = {(min(gamma[u], gamma[w]), max(gamma[u], gamma[w])) for u, w in edges}
-        if image != edges:
-            raise InvariantError("canonical search recorded a non-automorphism")
+    _check_automorphisms(g, generators)
     identity = tuple(range(n))
     group = {identity}
     queue = [identity]
@@ -314,15 +340,26 @@ def vertex_stabilizer(g: Graph, v: int) -> tuple[tuple[int, ...], ...]:
 
 
 def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> EdgeOrbitPartition:
-    """Partition the edges into orbits under the chosen group."""
+    """Partition the edges into orbits under the chosen group.
+
+    The orbits are the classes of edges joined by the generators the
+    canonical search records: of Aut(G) in full mode, and of the root's
+    stabilizer when the search individualizes the root first. No group is
+    listed, so the cap is the canonical one.
+    """
     if mode not in (MODE_FULL, MODE_STABILIZER):
         raise InputError(f"unknown orbit mode {mode!r}")
     if mode == MODE_STABILIZER:
         if root is None:
             raise InputError("stabilizer mode needs a root vertex")
-        perms = vertex_stabilizer(g, root)
+        if not 0 <= root < g.n:
+            raise InputError(f"vertex {root} out of range")
     else:
-        perms = automorphism_group(g)
+        root = None
+    if g.n > CANON_MAX_N:
+        raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
+    generators = _search(g, root)[1] if g.n else []
+    _check_automorphisms(g, generators, root)
     edges = g.edges()
     index = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
@@ -333,21 +370,18 @@ def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> 
             i = parent[i]
         return i
 
-    for p in perms:
-        for e in edges:
-            j = find(index[e])
-            k = find(index[edge(p[e.u], p[e.v])])
+    for gamma in generators:
+        for i, (u, w) in enumerate(edges):
+            j, k = find(i), find(index[edge(gamma[u], gamma[w])])
             if j != k:
                 parent[max(j, k)] = min(j, k)
+    # edges come sorted and a class's root is its least index, so orbits
+    # form sorted, in the order of their least edges
     grouped: dict[int, list[Edge]] = {}
-    for e in edges:
-        grouped.setdefault(find(index[e]), []).append(e)
-    orbits = tuple(
-        tuple(sorted(members)) for _, members in sorted(
-            grouped.items(), key=lambda kv: min(kv[1])
-        )
-    )
-    return EdgeOrbitPartition(orbits, mode, root if mode == MODE_STABILIZER else None)
+    for i, e in enumerate(edges):
+        grouped.setdefault(find(i), []).append(e)
+    orbits = tuple(tuple(members) for members in grouped.values())
+    return EdgeOrbitPartition(orbits, mode, root)
 
 
 @dataclass(frozen=True)

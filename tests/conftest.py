@@ -65,11 +65,26 @@ def dumbbell() -> Graph:
     return make_dumbbell()
 
 
+PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                  + [(i, i + 5) for i in range(5)])
+
+
 @pytest.fixture
 def petersen() -> Graph:
-    return build_graph(10, [(i, (i + 1) % 5) for i in range(5)]
-                       + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-                       + [(i, i + 5) for i in range(5)])
+    return build_graph(10, PETERSEN_EDGES)
+
+
+def make_petersen_dumbbell() -> Graph:
+    """A 22-vertex cubic bridge graph, past the 16-vertex group cap: two
+    Petersen graphs, each with its edge (0, 1) subdivided by vertex 10 of
+    its half, joined by the bridge (10, 21)."""
+    edges = []
+    for off in (0, 11):
+        edges += [(u + off, w + off) for u, w in PETERSEN_EDGES if (u, w) != (0, 1)]
+        edges += [(off, off + 10), (off + 1, off + 10)]
+    edges.append((10, 21))
+    return build_graph(22, edges)
 
 
 def make_diamond_ring() -> Graph:

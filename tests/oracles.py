@@ -422,6 +422,14 @@ def oracle_edge_orbits(g: Graph, perms) -> tuple:
     return tuple(orbits)
 
 
+def oracle_distinct_cycle_edges(g: Graph, perms) -> tuple:
+    """(count, representatives) of the edge orbits under the permutations
+    that hold no bridge, each represented by its least edge."""
+    bridges = oracle_bridges(g)
+    reps = tuple(orbit[0] for orbit in oracle_edge_orbits(g, perms) if orbit[0] not in bridges)
+    return len(reps), reps
+
+
 def oracle_cheap_vertex_keys(adj) -> list:
     """The enumerator's former root-filter keys on raw adjacency lists; a
     leaf survives the filter iff vertex 0 holds the least key."""

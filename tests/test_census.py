@@ -25,8 +25,13 @@ from cubic_lab.graphs import build_graph, emit_graph6, is_connected, is_cubic
 from cubic_lab.hamilton import has_hamiltonian_cycle
 from cubic_lab.symmetry import canonical_form, vertex_zero_key_is_least
 
-from conftest import make_dumbbell
-from oracles import oracle_block_swap_lowers, oracle_cheap_vertex_keys
+from conftest import make_dumbbell, make_petersen_dumbbell
+from oracles import (
+    oracle_automorphism_group,
+    oracle_block_swap_lowers,
+    oracle_cheap_vertex_keys,
+    oracle_distinct_cycle_edges,
+)
 
 
 class TestEnumerate:
@@ -208,6 +213,12 @@ class TestBridgeTreeProbe:
         # each side of the dumbbell has three cycle-edge orbits, so the
         # region never materializes at this scale
         assert report.whole_cycle_orbits is not None
+
+    def test_whole_count_past_group_cap(self):
+        # 22 vertices: whole-graph counts go up to the canonical cap
+        h = make_petersen_dumbbell()
+        expected, _ = oracle_distinct_cycle_edges(h, oracle_automorphism_group(h))
+        assert is_complete_tree_at_bridge(h).whole_cycle_orbits == expected == 4
 
     def test_nonbridge_rejected(self, petersen):
         with pytest.raises(InputError):

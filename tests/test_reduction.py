@@ -31,6 +31,9 @@ from cubic_lab.reduction import (
 )
 from cubic_lab.symmetry import are_isomorphic
 
+from conftest import make_petersen_dumbbell
+from oracles import oracle_automorphism_group, oracle_distinct_cycle_edges
+
 
 def half_k4(offset: int) -> list:
     """Edges of a K4 with one subdivided edge; vertex offset+4 is the
@@ -115,6 +118,13 @@ class TestNearestRegion:
         assert st.graph_cycle_orbits == 7
         with pytest.raises(InputError, match="region underflow"):
             nearest_region(st)
+
+    def test_whole_count_past_group_cap(self):
+        # 22 vertices: the whole-graph count goes up to the canonical cap
+        h = make_petersen_dumbbell()
+        expected, _ = oracle_distinct_cycle_edges(h, oracle_automorphism_group(h))
+        st = make_reducible_state(h, 10, frozenset(range(11)), edge(10, 21))
+        assert st.graph_cycle_orbits == expected == 4
 
 
 class TestNearestVertices:

@@ -5,7 +5,7 @@ import pytest
 
 from cubic_lab import symmetry
 from cubic_lab.errors import InputError, InvariantError
-from cubic_lab.graphs import build_graph, edge, induced_subgraph, parse_graph6, relabel
+from cubic_lab.graphs import add_edges, build_graph, edge, induced_subgraph, parse_graph6, relabel
 from cubic_lab.symmetry import (
     CANON_MAX_N,
     GROUP_MAX_N,
@@ -19,10 +19,12 @@ from cubic_lab.symmetry import (
     vertex_stabilizer,
 )
 
+from conftest import make_petersen_dumbbell
 from oracles import (
     oracle_automorphism_group,
     oracle_automorphisms,
     oracle_canonical_form,
+    oracle_distinct_cycle_edges,
     oracle_edge_orbits,
     oracle_isomorphic,
 )
@@ -153,7 +155,9 @@ class TestAutomorphismGroup:
     def test_petersen_order_120_vs_bruteforce(self, petersen):
         perms = automorphism_group(petersen)
         assert len(perms) == 120
-        assert len(oracle_automorphisms(petersen)) == 120
+        oracle = oracle_automorphism_group(petersen)
+        assert len(oracle) == 120
+        assert perms == oracle
 
     def test_group_axioms(self, d8, prism):
         for g in (d8, prism):
@@ -203,6 +207,14 @@ def _breadth_first_relabeling(g, rng):
     return relabel(g, perm)
 
 
+def _check_edge_orbits(g, perms):
+    assert edge_orbits(g, MODE_FULL).orbits == oracle_edge_orbits(g, perms), g
+    for root in range(g.n):
+        stab = [p for p in perms if p[root] == root]
+        got = edge_orbits(g, MODE_STABILIZER, root=root).orbits
+        assert got == oracle_edge_orbits(g, stab), (g, root)
+
+
 class TestAutomorphismGroupMatchesBacktracker:
     """The closure of the canonical search's recorded automorphisms must be
     the group the vertex-image backtracker finds, and the edge orbits read
@@ -212,11 +224,7 @@ class TestAutomorphismGroupMatchesBacktracker:
     def _check(self, g):
         perms = oracle_automorphism_group(g)
         assert automorphism_group(g) == perms, g
-        assert edge_orbits(g, MODE_FULL).orbits == oracle_edge_orbits(g, perms), g
-        for root in range(g.n):
-            stab = [p for p in perms if p[root] == root]
-            got = edge_orbits(g, MODE_STABILIZER, root=root).orbits
-            assert got == oracle_edge_orbits(g, stab), (g, root)
+        _check_edge_orbits(g, perms)
 
     def test_every_class_up_to_12_and_a_relabeling(self):
         from cubic_lab.census import enumerate_cubic
@@ -276,6 +284,67 @@ class TestAutomorphismGroupMatchesBacktracker:
             automorphism_group.__wrapped__(path3)
 
 
+class TestOraclesAgree:
+    def test_backtracker_matches_permutation_scan_up_to_8(self):
+        # the backtracker stands in for the n! scan wherever that is too
+        # slow, so the two must agree wherever it is not
+        from cubic_lab.census import enumerate_cubic
+
+        for n in (4, 6, 8):
+            for g in enumerate_cubic(n):
+                scan = tuple(sorted(tuple(p) for p in oracle_automorphisms(g)))
+                assert oracle_automorphism_group(g) == scan, g
+
+
+class TestEdgeOrbitsPastGroupCap:
+    """Edge orbits list no group, so they run up to the canonical cap: past
+    the group cap, left as published, they must match the orbits of the
+    backtracker's group in full mode and in stabilizer mode at every root."""
+
+    UNIONS = [("K??Z@PP`d_X?", "K??i``Hacg[?"), ("I??ysr_w?", "I??ysr_w?")]
+
+    def _check(self, g):
+        assert GROUP_MAX_N < g.n <= CANON_MAX_N
+        perms = oracle_automorphism_group(g)
+        _check_edge_orbits(g, perms)
+        return perms
+
+    def _check_distinct(self, g):
+        perms = self._check(g)
+        got = distinct_cycle_edges(g, MODE_FULL)
+        assert (got.count, got.representatives) == oracle_distinct_cycle_edges(g, perms), g
+        for root in range(g.n):
+            stab = [p for p in perms if p[root] == root]
+            got = distinct_cycle_edges(g, MODE_STABILIZER, root=root)
+            assert (got.count, got.representatives) == oracle_distinct_cycle_edges(g, stab), (g, root)
+
+    def test_unions_of_key_alike_graphs(self):
+        # 24 and 20 vertices, with breadth-first labelings for the
+        # backtracker (see TestAutomorphismGroupMatchesBacktracker)
+        rng = random.Random(3)
+        for a, b in self.UNIONS:
+            union = _union(a, b)
+            for _ in range(2):
+                self._check(_breadth_first_relabeling(union, rng))
+
+    def test_distinct_cycle_edges(self):
+        # distinct_cycle_edges needs a connected graph: each union gets one
+        # edge joining its halves, which becomes a bridge
+        rng = random.Random(8)
+        graphs = [make_petersen_dumbbell()]
+        for a, b in self.UNIONS:
+            graphs.append(add_edges(_union(a, b), [(0, parse_graph6(a).n)]))
+        for g in graphs:
+            self._check_distinct(g)
+            self._check_distinct(_breadth_first_relabeling(g, rng))
+
+    def test_past_canonical_cap_raises(self):
+        big = build_graph(CANON_MAX_N + 2, [(0, 1)])
+        for mode, root in ((MODE_FULL, None), (MODE_STABILIZER, 0)):
+            with pytest.raises(InputError):
+                edge_orbits(big, mode, root)
+
+
 class TestEdgeOrbits:
     def test_k4_single_orbit(self, k4):
         orbits = edge_orbits(k4).orbits
@@ -331,6 +400,48 @@ class TestEdgeOrbits:
         assert len(vertex_stabilizer(path3, 1)) == 2
 
 
+class TestStabilizerSearch:
+    def test_root_individualized_first(self, k33, prism, petersen):
+        # all vertices of a vertex-transitive graph share one key cell, so
+        # the search with root r starts at the full search's child r; every
+        # child's subtree holds the least code, and child 0 comes first
+        rng = random.Random(6)
+        for base in (k33, prism, _cube(), petersen):
+            perm = list(range(base.n))
+            rng.shuffle(perm)
+            for g in (base, relabel(base, perm)):
+                cf = canonical_form(g)
+                assert symmetry._search(g, 0)[0] == cf.labeling, g
+                for root in range(g.n):
+                    labeling, _ = symmetry._search(g, root)
+                    assert symmetry._canonical_graph6(g, labeling) == cf.graph6, (g, root)
+
+    def test_non_automorphism_generator_raises(self, monkeypatch, path3):
+        search = symmetry._search
+
+        def with_bogus_generator(g, root=None):
+            labeling, generators = search(g, root)
+            return labeling, generators + [(1, 0, 2)]  # fixes 2, sends (1, 2) to (0, 2)
+
+        monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
+        with pytest.raises(InvariantError):
+            edge_orbits(path3, MODE_FULL)
+        with pytest.raises(InvariantError):
+            edge_orbits(path3, MODE_STABILIZER, root=2)
+
+    def test_generator_moving_the_root_raises(self, monkeypatch, path3):
+        search = symmetry._search
+
+        def with_root_moved(g, root=None):
+            labeling, generators = search(g, root)
+            return labeling, generators + [(2, 1, 0)]  # an automorphism
+
+        monkeypatch.setattr(symmetry, "_search", with_root_moved)
+        assert len(edge_orbits(path3, MODE_FULL).orbits) == 1
+        with pytest.raises(InvariantError):
+            edge_orbits(path3, MODE_STABILIZER, root=0)
+
+
 class TestDistinctCycleEdges:
     def test_k4(self, k4):
         assert distinct_cycle_edges(k4).count == 1
@@ -341,8 +452,8 @@ class TestDistinctCycleEdges:
         assert got.representatives == (edge(0, 1), edge(1, 2))
 
     def test_dumbbell_drops_bridge_orbit(self, dumbbell):
-        # group computed by brute force; the bridge orbit is excluded
-        perms = [tuple(p) for p in oracle_automorphisms(dumbbell)]
+        # group from the vertex-image backtracker; the bridge orbit is excluded
+        perms = oracle_automorphism_group(dumbbell)
         orbit_count = len(edge_orbits(dumbbell).orbits)
         assert automorphism_group(dumbbell) == tuple(sorted(perms))
         got = distinct_cycle_edges(dumbbell)
