@@ -22,6 +22,10 @@ the leaves whose index is its own residue mod ``jobs``, and the sorted
 union of their canonical forms is the serial result. The same pool then
 classifies the graphs; aggregation is count-based and therefore
 independent of completion order.
+
+The evidence tables are the census rows (connectivity classes and
+Hamiltonicity counted per n) and the complete-tree probe
+(``conjecture_probe``).
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from itertools import combinations
 from typing import Iterator, Optional
 
 from .connectivity import classify_connectivity, component_of, find_bridges
-from .construction import bridge_construct, depth_bound_report, insertion_family
 from .errors import InputError, InvariantError
 from .graphs import (
     Graph,
@@ -44,11 +47,9 @@ from .graphs import (
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .reduction import int_fifth_root, nearest_vertices
 from .symmetry import (
-    CANON_MAX_N,
     MODE_FULL,
     _canonical_graph6,
     _search,
-    canonical_form,
     distinct_cycle_edges,
     vertex_zero_key_is_least,
 )
@@ -352,7 +353,6 @@ class BridgeTreeReport:
     matches: bool
     tree_size: Optional[int]
     cycle_orbits: Optional[int]
-    whole_cycle_orbits: Optional[int]
 
 
 def _is_complete_tree(sub: Graph, root: int) -> bool:
@@ -387,9 +387,6 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
     bridges = find_bridges(h)
     if not bridges:
         raise InputError("is_complete_tree_at_bridge requires a bridge graph")
-    whole = (
-        distinct_cycle_edges(h, MODE_FULL).count if h.n <= CANON_MAX_N else None
-    )
     for br in bridges:
         for root in br:
             side = component_of(h, root, {br})
@@ -405,8 +402,8 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
             if not _is_complete_tree(region_sub, region_map[remap[root]]):
                 continue
             if _size_in_window(len(region), k):
-                return BridgeTreeReport(True, len(region), k, whole)
-    return BridgeTreeReport(False, None, None, whole)
+                return BridgeTreeReport(True, len(region), k)
+    return BridgeTreeReport(False, None, None)
 
 
 @dataclass(frozen=True)
@@ -435,51 +432,3 @@ def probe_csv(rows: list[ConjectureProbeRow]) -> str:
         out.append(f"{r.n},{r.lhs_count},{r.rhs_count},{str(r.injection_possible).lower()}")
     return "\n".join(out) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# family statistics
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilyStatsRow:
-    graph6: str
-    side_cycle_orbits: int
-    max_dist: int
-    family_size: int
-    internal_collisions: int
-
-
-def family_size_stats(n: int) -> tuple[list[FamilyStatsRow], list[tuple[str, str]]]:
-    """Construct and expand every biconnected cubic graph of size n.
-
-    Returns per-input rows plus cross-input canonical collisions (pairs of
-    source graph6 strings whose families overlap); overlaps inside one family
-    are counted in the row itself.
-    """
-    rows: list[FamilyStatsRow] = []
-    seen_members: dict[bytes, str] = {}
-    cross: list[tuple[str, str]] = []
-    for g in enumerate_cubic(n):
-        if not classify_connectivity(g).is_biconnected:
-            continue
-        rec = bridge_construct(g)
-        fam = insertion_family(rec)
-        report = depth_bound_report(rec)
-        g6 = emit_graph6(g)
-        side, remap = rec.side_subgraph()
-        k = distinct_cycle_edges(side, MODE_FULL).count
-        rows.append(FamilyStatsRow(
-            graph6=g6,
-            side_cycle_orbits=k,
-            max_dist=report.max_dist,
-            family_size=len(fam.members),
-            internal_collisions=len(fam.collision_report),
-        ))
-        for member in fam.members:
-            form = canonical_form(member.graph).graph6
-            owner = seen_members.get(form)
-            if owner is None:
-                seen_members[form] = g6
-            elif owner != g6:
-                cross.append((owner, g6))
-    return rows, cross

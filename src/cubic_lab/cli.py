@@ -143,11 +143,10 @@ def _cmd_classify(args) -> str:
     if (args.n is None) == (args.infile is None):
         raise InputError("classify needs exactly one of --n or --in")
     graphs = enumerate_cubic(args.n) if args.n is not None else _read_corpus(args.infile)
-    lines = [
-        json.dumps({"graph6": emit_graph6(g), **classify_graph(g)}, sort_keys=True)
+    return "".join(
+        json.dumps({"graph6": emit_graph6(g), **classify_graph(g)}, sort_keys=True) + "\n"
         for g in graphs
-    ]
-    return "\n".join(lines) + "\n"
+    )
 
 
 def _cmd_construct(args) -> str:

@@ -39,6 +39,7 @@ from .graphs import (
 from .symmetry import (
     MODE_FULL,
     MODE_STABILIZER,
+    EdgeOrbitPartition,
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
@@ -73,6 +74,13 @@ class ConstructionRecord:
         # depth report and the bridgeless check need it
         side, remap = self.side_subgraph()
         return side, remap, frozenset(find_bridges(side))
+
+    @cached_property
+    def _stabilizer_partition(self) -> EdgeOrbitPartition:
+        # one rooted search per record: insertion_family in stabilizer mode
+        # and the depth report both read it
+        side, remap, _ = self._side_with_bridges
+        return edge_orbits(side, MODE_STABILIZER, remap[self.root])
 
 
 def select_active_side(g: Graph, bb: BiBridge) -> str:
@@ -177,10 +185,9 @@ class DepthBoundReport:
 
 
 def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
-    side, remap, _ = rec._side_with_bridges
-    root = remap[rec.root]
+    side, _, _ = rec._side_with_bridges
     full = len(edge_orbits(side, MODE_FULL).orbits)
-    stab = len(edge_orbits(side, MODE_STABILIZER, root).orbits)
+    stab = len(rec._stabilizer_partition.orbits)
     d = rec.profile.max_dist
     dist = rec.profile.dist
     facilitated = set()
@@ -331,8 +338,10 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
     """
     side, remap, side_bridges = rec._side_with_bridges
     inverse = {new: old for old, new in remap.items()}
-    root_sub = remap[rec.root] if mode == MODE_STABILIZER else None
-    partition = edge_orbits(side, mode, root_sub)
+    partition = (
+        rec._stabilizer_partition if mode == MODE_STABILIZER
+        else edge_orbits(side, mode)
+    )
     open_sub = {remap[v] for v in rec.open_nodes}
 
     members: list[FamilyMember] = []

@@ -20,10 +20,13 @@ misclassification is never silent.
 
 Region selection mirrors the census work this supports: with k distinct
 cycle edges on the side, the floor of the fifth root of k vertices nearest
-the root are taken and the deepest of those are dropped. Desk-scale sides
-rarely reach k >= 32, so the pipeline usually stops with a "region
-underflow" input error; the arithmetic is still exercised directly by tests
-that build states with larger k by hand.
+the root are taken and the deepest of those are dropped. Below k = 32 that
+is fewer than two vertices, a "region underflow" input error. For
+32 <= k < 1024, m = floor(k**(1/5)) is 2 or 3, so ``nearest_region`` is
+{root}: the root has degree 2 on its side, the m nearest vertices are the
+root and depth-1 vertices, and the depth-1 layer is dropped. A single
+vertex is a complete tree. The triangle, diamond and horizontal-edge cases
+need m >= 4, that is k >= 1024; tests reach it by supplying k by hand.
 """
 
 from __future__ import annotations
@@ -48,13 +51,15 @@ from .graphs import (
     remove_edges,
     remove_vertices,
 )
-from .symmetry import CANON_MAX_N, MODE_FULL, distinct_cycle_edges
+from .symmetry import MODE_FULL, distinct_cycle_edges
 from .construction import ConstructionRecord, cycle_insertion
 
 
 @dataclass(frozen=True)
 class ReducibleState:
-    """A bridge graph mid-reduction, with its working side and bookkeeping."""
+    """A bridge graph mid-reduction: the working side, its root (the bridge
+    endpoint on the side), BFS distances from the root within the side, and
+    the side's distinct-cycle-edge count k, which sizes the region."""
 
     graph: Graph
     root: int
@@ -62,7 +67,6 @@ class ReducibleState:
     bridge: Edge
     profile: DistanceProfile
     side_cycle_orbits: int
-    graph_cycle_orbits: Optional[int]
 
 
 def make_reducible_state(
@@ -91,12 +95,7 @@ def make_reducible_state(
     k_side = computed if side_cycle_orbits is None else side_cycle_orbits
     if k_side < 1:
         raise InputError("side has no cycle edges at all")
-    k_whole = (
-        distinct_cycle_edges(graph, MODE_FULL).count
-        if graph.n <= CANON_MAX_N
-        else None
-    )
-    return ReducibleState(graph, root, side, bridge, profile, k_side, k_whole)
+    return ReducibleState(graph, root, side, bridge, profile, k_side)
 
 
 def build_reducible_state(rec: ConstructionRecord, e: Edge) -> ReducibleState:
@@ -332,22 +331,6 @@ def finish_diamond_splice(staged: Graph, second: int, consumed: Edge) -> Graph:
         remove_edges(staged, [consumed]),
         [(consumed.u, second), (consumed.v, second)],
     )
-
-
-def splice_adjacent_triangles(
-    g: Graph,
-    diamond: tuple[int, int, int, int],
-    *,
-    keep_within: Optional[frozenset[int]] = None,
-) -> tuple[Graph, dict[int, int], int, int, Edge]:
-    """Stage a diamond removal and finish it with the least canonical
-    eligible cycle edge. Returns (graph, survivor remap, patch vertex,
-    second vertex, consumed edge)."""
-    staged, remap, patch, second, pool = stage_diamond_removal(
-        g, diamond, keep_within=keep_within
-    )
-    chosen = pool[0]
-    return finish_diamond_splice(staged, second, chosen), remap, patch, second, chosen
 
 
 def excise_horizontal_pair(g: Graph, level_edge: Edge) -> tuple[Graph, dict[int, int]]:

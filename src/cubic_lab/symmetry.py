@@ -332,13 +332,6 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
-def vertex_stabilizer(g: Graph, v: int) -> tuple[tuple[int, ...], ...]:
-    """Automorphisms fixing v."""
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range")
-    return tuple(p for p in automorphism_group(g) if p[v] == v)
-
-
 def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> EdgeOrbitPartition:
     """Partition the edges into orbits under the chosen group.
 

@@ -15,7 +15,6 @@ from cubic_lab.census import (
     classify_graph6,
     conjecture_probe,
     enumerate_cubic,
-    family_size_stats,
     is_complete_tree_at_bridge,
     probe_csv,
 )
@@ -25,13 +24,8 @@ from cubic_lab.graphs import build_graph, emit_graph6, is_connected, is_cubic
 from cubic_lab.hamilton import has_hamiltonian_cycle
 from cubic_lab.symmetry import canonical_form, vertex_zero_key_is_least
 
-from conftest import make_dumbbell, make_petersen_dumbbell
-from oracles import (
-    oracle_automorphism_group,
-    oracle_block_swap_lowers,
-    oracle_cheap_vertex_keys,
-    oracle_distinct_cycle_edges,
-)
+from conftest import make_dumbbell
+from oracles import oracle_block_swap_lowers, oracle_cheap_vertex_keys
 
 
 class TestEnumerate:
@@ -209,16 +203,9 @@ class TestBridgeTreeProbe:
     def test_dumbbell_no_match_but_reports_k(self):
         report = is_complete_tree_at_bridge(make_dumbbell())
         assert isinstance(report, BridgeTreeReport)
-        assert report.matches is False
         # each side of the dumbbell has three cycle-edge orbits, so the
         # region never materializes at this scale
-        assert report.whole_cycle_orbits is not None
-
-    def test_whole_count_past_group_cap(self):
-        # 22 vertices: whole-graph counts go up to the canonical cap
-        h = make_petersen_dumbbell()
-        expected, _ = oracle_distinct_cycle_edges(h, oracle_automorphism_group(h))
-        assert is_complete_tree_at_bridge(h).whole_cycle_orbits == expected == 4
+        assert report.matches is False
 
     def test_nonbridge_rejected(self, petersen):
         with pytest.raises(InputError):
@@ -235,22 +222,3 @@ class TestBridgeTreeProbe:
         assert lines[0] == "n,lhs_count,rhs_count,injection_possible"
         assert lines[1].split(",")[1:3] == ["0", "1"]
 
-
-class TestFamilyStats:
-    def test_n8_rows(self):
-        rows, cross = family_size_stats(8)
-        assert len(rows) == 1  # exactly one biconnected cubic graph on 8
-        row = rows[0]
-        assert row.family_size >= row.max_dist
-        assert row.internal_collisions == 0
-        assert cross == []
-
-    def test_n10_rows_and_collisions_reported(self):
-        rows, cross = family_size_stats(10)
-        assert len(rows) == 4
-        for row in rows:
-            assert row.family_size >= row.max_dist
-            assert row.internal_collisions == 0
-        # measured fact: three cross-source duplicate members exist at n=10;
-        # the sweep must surface them rather than swallow them
-        assert len(cross) == 3

@@ -68,6 +68,13 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--n", "4")
         assert code == 0
         assert json.loads(out.strip())["class"] == "three-connected"
+        assert out.endswith("}\n") and out.count("\n") == 1
+
+    def test_empty_corpus_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "empty.g6"
+        path.write_text("")
+        code, out, _ = run(capsys, "classify", "--in", str(path))
+        assert code == 0 and out == ""
 
 
 class TestConstructInsertReduce:

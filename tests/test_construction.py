@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from cubic_lab import symmetry
 from cubic_lab.connectivity import classify_connectivity, find_bridges, most_balanced_bibridge
 from cubic_lab.construction import (
     MEMBER_INSERT,
@@ -114,6 +115,23 @@ class TestDepthBound:
             rep = depth_bound_report(bridge_construct(g))
             assert rep.orbit_count_stabilizer >= rep.max_dist
             assert rep.orbit_count_stabilizer >= rep.orbit_count_full
+
+    def test_one_rooted_search_per_record(self, d8, monkeypatch):
+        # the stabilizer-mode family and the report share the record's
+        # root-stabilizer partition; only the full-group count searches again
+        search = symmetry._search
+        roots = []
+
+        def counting(g, root=None):
+            if root is not None:
+                roots.append(root)
+            return search(g, root)
+
+        monkeypatch.setattr(symmetry, "_search", counting)
+        rec = bridge_construct(d8)
+        insertion_family(rec)
+        depth_bound_report(rec)
+        assert len(roots) == 1
 
 
 class TestCycleCover:

@@ -17,6 +17,7 @@ from cubic_lab.reduction import (
     contract_triangle,
     excise_horizontal_pair,
     extract_region,
+    finish_diamond_splice,
     int_fifth_root,
     make_reducible_state,
     nearest_region,
@@ -27,12 +28,9 @@ from cubic_lab.reduction import (
     reduce_isolated_triangle,
     reduce_step,
     reduce_to_n,
-    splice_adjacent_triangles,
+    stage_diamond_removal,
 )
 from cubic_lab.symmetry import are_isomorphic
-
-from conftest import make_petersen_dumbbell
-from oracles import oracle_automorphism_group, oracle_distinct_cycle_edges
 
 
 def half_k4(offset: int) -> list:
@@ -88,13 +86,21 @@ class TestFifthRoot:
 
 
 class TestNearestRegion:
-    def test_k32_selects_root_and_nearest_neighbor(self, dumbbell):
-        # floor(32 ** (1/5)) = 2: the root plus its least-id side neighbor;
-        # the deeper of the two is dropped, leaving just the root
+    @pytest.mark.parametrize("k, region", [
+        pytest.param(32, {4}, id="k32"),
+        pytest.param(242, {4}, id="k242"),
+        pytest.param(243, {4}, id="k243"),
+        pytest.param(1023, {4}, id="k1023"),
+        pytest.param(1024, {2, 3, 4}, id="k1024"),
+    ])
+    def test_region_by_k(self, dumbbell, k, region):
+        # for 32 <= k < 1024, floor(k ** (1/5)) is 2 or 3: the root 4 and
+        # its depth-1 neighbors 2, 3, whose layer is dropped; at k = 1024
+        # it is 4, and the depth-2 layer is dropped instead
         st = make_reducible_state(
-            dumbbell, 4, frozenset(range(5)), edge(4, 9), side_cycle_orbits=32
+            dumbbell, 4, frozenset(range(5)), edge(4, 9), side_cycle_orbits=k
         )
-        assert nearest_region(st) == frozenset({4})
+        assert nearest_region(st) == frozenset(region)
 
     def test_k1_underflows(self, dumbbell):
         st = make_reducible_state(
@@ -115,16 +121,8 @@ class TestNearestRegion:
         rec = bridge_construct(d8)
         st = build_reducible_state(rec, edge(1, 2))
         assert st.side_cycle_orbits == 4
-        assert st.graph_cycle_orbits == 7
         with pytest.raises(InputError, match="region underflow"):
             nearest_region(st)
-
-    def test_whole_count_past_group_cap(self):
-        # 22 vertices: the whole-graph count goes up to the canonical cap
-        h = make_petersen_dumbbell()
-        expected, _ = oracle_distinct_cycle_edges(h, oracle_automorphism_group(h))
-        st = make_reducible_state(h, 10, frozenset(range(11)), edge(10, 21))
-        assert st.graph_cycle_orbits == expected == 4
 
 
 class TestNearestVertices:
@@ -218,13 +216,14 @@ class TestContractTriangle:
 class TestSpliceAdjacentTriangles:
     def test_dumbbell_diamond_shared_exit_rejected(self, dumbbell):
         with pytest.raises(InputError, match="bridge"):
-            splice_adjacent_triangles(dumbbell, (0, 1, 2, 3))
+            stage_diamond_removal(dumbbell, (0, 1, 2, 3))
 
     def test_valid_diamond_shrinks_by_two(self):
         g, root, side, bridge = diamond_stalk()
-        out, remap, patch, second, chosen = splice_adjacent_triangles(
+        staged, remap, patch, second, pool = stage_diamond_removal(
             g, (6, 8, 9, 10), keep_within=side
         )
+        out = finish_diamond_splice(staged, second, pool[0])
         assert out.n == 12 and is_cubic(out)
         assert find_bridges(out)  # still a bridge graph
         assert out.has_edge(patch, second)
@@ -232,7 +231,7 @@ class TestSpliceAdjacentTriangles:
 
     def test_not_a_diamond(self, k4):
         with pytest.raises(InputError, match="diamond"):
-            splice_adjacent_triangles(k4, (0, 1, 2, 3))  # induces 6 edges
+            stage_diamond_removal(k4, (0, 1, 2, 3))  # induces 6 edges
 
 
 class TestExciseHorizontalPair:

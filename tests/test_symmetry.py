@@ -16,7 +16,6 @@ from cubic_lab.symmetry import (
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
-    vertex_stabilizer,
 )
 
 from conftest import make_petersen_dumbbell
@@ -394,10 +393,6 @@ class TestEdgeOrbits:
             edge_orbits(k4, MODE_STABILIZER)
         with pytest.raises(InputError):
             edge_orbits(k4, "bogus")
-
-    def test_vertex_stabilizer(self, path3):
-        assert vertex_stabilizer(path3, 0) == ((0, 1, 2),)
-        assert len(vertex_stabilizer(path3, 1)) == 2
 
 
 class TestStabilizerSearch:
