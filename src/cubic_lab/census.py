@@ -1,27 +1,51 @@
-"""Isomorphism-free enumeration of connected cubic graphs and the evidence
+"""Isomorph-free enumeration of connected cubic graphs and the evidence
 tables built on top of it.
 
-The enumerator saturates vertices in id order: at each turn the smallest
-unsaturated vertex receives all of its remaining edges, drawing partners
-from already-introduced unsaturated vertices and from fresh ids handed out
-consecutively. Every connected cubic graph admits such a numbering (number
-the vertices by first touch along any breadth-first saturation), so the
-search sees at least one labeling per isomorphism class, and a canonical
-form pass deduplicates the survivors. Two cheap, provably sound filters cut
-the duplication before the canonical pass. First, a labeling that a
-same-block fresh-vertex swap would lexicographically lower is dropped (the
-lowered labeling is admissible too, so its class survives elsewhere).
-Second, the graph is dropped unless vertex 0 carries the least vertex key
-of ``symmetry._vertex_keys`` (every class has a numbering rooted at such a
-vertex); that test exits at the first vertex whose degree and triangle
-count beat vertex 0's and runs BFS only for the vertices that tie.
+The enumerator grows each vertex count from the one two below it by edge
+insertion. For a graph P on n vertices, take two disjoint edges pq and rs,
+delete both, add the adjacent vertices x = n and y = n + 1, join x to two
+of p, q, r, s and join y to the other two. The three splits {pq|rs},
+{pr|qs} and {ps|qr} give three children. Level 4 is K4, and level n is the
+set of canonical forms of the children of every class on n - 2 vertices.
+An automorphism of P maps the children of an edge pair onto those of the
+pair's image, so one pair per orbit under the automorphisms the canonical
+search records suffices. The set removes the remaining duplicates; there
+is no canonical-parent test.
+
+Every child is connected, simple and cubic: x and y are new, each of p, q,
+r, s trades one edge for another, and all four reach the adjacent x and y,
+so no path of P is lost. Conversely:
+
+Lemma: every connected simple cubic graph C on N >= 6 vertices has an edge
+xy with these properties. The other neighbours a, b of x and c, d of y are
+four distinct vertices, and some perfect matching M of them makes
+C - x - y + M connected, simple and cubic. M's two edges are disjoint, so
+C is a child of that graph, and by induction from K4 every class is
+reached.
+  - C has a bridge. At a vertex on a bridge, the other two edges are either
+    both bridges or both on one cycle. If every bridge met only all-bridge
+    vertices, C would be a tree. So some bridge xy has an endpoint x whose
+    edges to a and b lie on a cycle. Take M = {ac, bd}. Both new edges cross
+    the bridge, so neither exists yet. Since a and b share a component of
+    C - x - y, M joins everything.
+  - C is bridgeless and not K4. Some edge xy lies on no triangle. If every
+    edge lay on one, the triangles would form a diamond, and the edge
+    leaving one of its tips lies on a triangle only when it joins the two
+    tips, which is K4. Every component of C - x - y holds at least 2 of the
+    four ends, so there are at most two components. With two, each holds
+    one end of x and one of y (otherwise xy would be a bridge), and
+    M = {ab, cd} works. With one, suppose each of the three matchings
+    contained an existing edge. Then those three edges would form a
+    triangle on three ends: a star would give one end three neighbours
+    among the ends, but it has only two besides x or y. Those three ends
+    would then form a component without the fourth, a contradiction.
 
 With ``jobs`` > 1, ``census_table`` opens one process pool for the whole
-run. Each worker walks the saturation tree, filters and canonicalises only
-the leaves whose index is its own residue mod ``jobs``, and the sorted
-union of their canonical forms is the serial result. The same pool then
-classifies the graphs; aggregation is count-based and therefore
-independent of completion order.
+run. Every worker receives the graph6 strings of the parent level and
+grows only the parents whose index is its own residue mod ``jobs``, so no
+worker repeats another's work, and the sorted union of their canonical
+forms is the serial result. The same pool then classifies the graphs;
+aggregation is count-based and therefore independent of completion order.
 
 The evidence tables are the census rows (connectivity classes and
 Hamiltonicity counted per n) and the complete-tree probe
@@ -33,25 +57,30 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Iterator, Optional
+from typing import Optional
 
 from .connectivity import classify_connectivity, component_of, find_bridges
 from .errors import InputError, InvariantError
 from .graphs import (
     Graph,
+    add_edges,
+    add_vertices,
     bfs_distances,
+    edge,
     emit_graph6,
     induced_subgraph,
     parse_graph6,
+    remove_edges,
 )
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .reduction import int_fifth_root, nearest_vertices
 from .symmetry import (
     MODE_FULL,
     _canonical_graph6,
+    _check_automorphisms,
+    _orbit_roots,
     _search,
     distinct_cycle_edges,
-    vertex_zero_key_is_least,
 )
 
 DEFAULT_MAX_N = 18
@@ -72,126 +101,60 @@ def max_enumeration_n() -> int:
 # generation
 # ---------------------------------------------------------------------------
 
-def _saturation_leaves(n: int) -> Iterator[tuple[list[list[int]], list[tuple[int, int, int]]]]:
-    """Yield (adjacency, fresh blocks) for every connected cubic labeled
-    graph whose vertex ids follow first-use order. A block (owner, start,
-    size) records that ``owner``'s turn handed out ids start..start+size-1."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    deg = [0] * n
-    blocks: list[tuple[int, int, int]] = []
+def _children(g: Graph) -> set[bytes]:
+    """Canonical graph6 forms of the edge insertions into g, one pair of
+    disjoint edges per orbit under the automorphisms ``_search`` records.
+    The searches run uncached: a labeled child is never looked up again,
+    and caching it would only evict ``canonical_form`` entries that are."""
+    n = g.n
+    pairs = [
+        (e, f) for e, f in combinations(g.edges(), 2)
+        if e.u not in f and e.v not in f
+    ]
 
-    def turn(u: int, frontier: int) -> Iterator[tuple[list[list[int]], list[tuple[int, int, int]]]]:
-        if u == n:
-            if frontier == n:
-                yield adj, blocks
-            return
-        if u >= frontier:
-            # u was never attached to anything earlier: only legal for the
-            # very first vertex, otherwise the prefix is a closed component
-            if u != 0:
-                return
-            frontier = 1
-        need = 3 - deg[u]
-        if need == 0:
-            yield from turn(u + 1, frontier)
-            return
-        existing = [
-            w for w in range(u + 1, frontier) if deg[w] < 3 and w not in adj[u]
-        ]
-        for fresh in range(min(need, n - frontier), -1, -1):
-            from_existing = need - fresh
-            if from_existing > len(existing):
-                continue
-            new_ids = list(range(frontier, frontier + fresh))
-            for combo in combinations(existing, from_existing):
-                partners = list(combo) + new_ids
-                for w in partners:
-                    adj[u].append(w)
-                    adj[w].append(u)
-                    deg[w] += 1
-                deg[u] += need
-                if fresh:
-                    blocks.append((u, frontier, fresh))
-                yield from turn(u + 1, frontier + fresh)
-                if fresh:
-                    blocks.pop()
-                deg[u] -= need
-                for w in partners:
-                    adj[u].pop()
-                    adj[w].pop()
-                    deg[w] -= 1
+    def image(gamma, pair):
+        e, f = (edge(gamma[u], gamma[v]) for u, v in pair)
+        return (e, f) if e < f else (f, e)
 
-    yield from turn(0, 0)
-
-
-def _block_swap_reducible(adj: list[list[int]], blocks: list[tuple[int, int, int]]) -> bool:
-    """True when swapping two same-block fresh siblings (neither of which
-    introduced fresh vertices at its own turn) lowers the sorted edge list.
-
-    Such a swap keeps the labeling admissible: the siblings share their
-    introduction turn, and because neither owns a block the frontier walks
-    through their own turns unchanged. The lowered labeling is therefore
-    generated too, so this leaf is a duplicate that can be skipped.
-
-    Only the edges at the two siblings move, and of two equal-size edge
-    sets the one holding the least edge of their symmetric difference sorts
-    first, so the test looks at those few edges alone.
-    """
-    owners = {owner for owner, _, _ in blocks}
-    for _, start, size in blocks:
-        for f in range(start, start + size - 1):
-            g = f + 1
-            if f in owners or g in owners:
-                continue
-            moved = set()
-            image = set()
-            for v, v_image in ((f, g), (g, f)):
-                for w in adj[v]:
-                    moved.add((v, w) if v < w else (w, v))
-                    w_image = f if w == g else g if w == f else w
-                    image.add(
-                        (v_image, w_image) if v_image < w_image else (w_image, v_image)
-                    )
-            diff = moved ^ image
-            if diff and min(diff) in image:
-                return True
-    return False
-
-
-def _walk_share(n: int, share: int, shares: int) -> set[bytes]:
-    """Canonical graph6 forms of the saturation leaves whose index is
-    ``share`` mod ``shares`` and that pass both filters. The block swap
-    test goes first because it is the cheaper one. The search runs
-    uncached: a labeled leaf is never looked up again, and caching it would
-    only evict ``canonical_form`` entries that are."""
-    found: set[bytes] = set()
-    for index, (adj, blocks) in enumerate(_saturation_leaves(n)):
-        if index % shares != share:
+    generators = _search(g)[1]
+    _check_automorphisms(g, generators)
+    roots = _orbit_roots(pairs, generators, image)
+    forms: set[bytes] = set()
+    for i, ((p, q), (r, s)) in enumerate(pairs):
+        if roots[i] != i:
             continue
-        if blocks and _block_swap_reducible(adj, blocks):
-            continue
-        if not vertex_zero_key_is_least(adj):
-            continue
-        g = Graph(n, tuple(tuple(sorted(row)) for row in adj))
-        found.add(_canonical_graph6(g, _search(g)[0]))
-    return found
+        base = add_vertices(remove_edges(g, [(p, q), (r, s)]), 2)
+        for a, b, c, d in ((p, q, r, s), (p, r, q, s), (p, s, q, r)):
+            child = add_edges(base, [(n, n + 1), (n, a), (n, b), (n + 1, c), (n + 1, d)])
+            forms.add(_canonical_graph6(child, _search(child)[0]))
+    return forms
+
+
+def _grow_share(parents: list[str], share: int, shares: int) -> set[bytes]:
+    """Canonical graph6 forms of the children of the parents whose index
+    is ``share`` mod ``shares``."""
+    return set().union(*(_children(parse_graph6(g6)) for g6 in parents[share::shares]))
 
 
 _ENUMERATED: dict[int, tuple[Graph, ...]] = {}
 
 
 def _enumerate_cached(n: int, pool=None, jobs: int = 1) -> tuple[Graph, ...]:
-    """The classes of size n, computed once per process. With a pool, each
-    of ``jobs`` workers walks the whole tree but filters and canonicalises
-    only its own share of the leaves; the sorted union is the same."""
+    """The classes of size n, computed once per process from those of size
+    n - 2. With a pool, each of ``jobs`` workers grows its own share of the
+    parents; the sorted union is the same."""
     graphs = _ENUMERATED.get(n)
     if graphs is None:
-        if pool is None:
-            forms = _walk_share(n, 0, 1)
+        if n == 4:
+            forms = {b"C~"}  # K4
         else:
-            forms = set().union(*pool.map(
-                _walk_share, [n] * jobs, range(jobs), [jobs] * jobs
-            ))
+            parents = [emit_graph6(g) for g in _enumerate_cached(n - 2, pool, jobs)]
+            if pool is None:
+                forms = _grow_share(parents, 0, 1)
+            else:
+                forms = set().union(*pool.map(
+                    _grow_share, [parents] * jobs, range(jobs), [jobs] * jobs
+                ))
         graphs = tuple(parse_graph6(form.decode("ascii")) for form in sorted(forms))
         _ENUMERATED[n] = graphs
     return graphs

@@ -118,26 +118,6 @@ def find_bridges(g: Graph) -> tuple[Edge, ...]:
     return tuple(sorted(e for e, label in labels.items() if not label))
 
 
-def _components_after(g: Graph, removed: set[Edge]) -> list[set[int]]:
-    seen = [False] * g.n
-    comps: list[set[int]] = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        comp = {start}
-        seen[start] = True
-        queue = [start]
-        while queue:
-            u = queue.pop()
-            for w in g.adj[u]:
-                if not seen[w] and edge(u, w) not in removed:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(comp)
-    return comps
-
-
 def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     """Every unordered edge pair whose removal disconnects the graph.
 
@@ -159,19 +139,18 @@ def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     cuts: list[BiBridge] = []
     for group in groups.values():
         for e1, e2 in combinations(sorted(group), 2):
-            comps = _components_after(g, {e1, e2})
-            if len(comps) != 2:
+            removed = {e1, e2}
+            side_a = component_of(g, 0, removed)
+            side_b = frozenset(range(g.n)) - side_a
+            if not side_b or component_of(g, min(side_b), removed) != side_b:
                 raise InvariantError(
-                    f"edge pair {tuple(e1)},{tuple(e2)} left {len(comps)} components"
+                    f"edge pair {tuple(e1)},{tuple(e2)} does not split the graph in two"
                 )
-            side_a = comps[0] if 0 in comps[0] else comps[1]
-            side_b = comps[1] if 0 in comps[0] else comps[0]
             for cut_edge in (e1, e2):
                 if (cut_edge.u in side_a) == (cut_edge.v in side_a):
                     raise InvariantError(f"cut edge {tuple(cut_edge)} does not span the sides")
             cuts.append(
-                BiBridge(e1, e2, frozenset(side_a), frozenset(side_b),
-                         abs(len(side_a) - len(side_b)))
+                BiBridge(e1, e2, side_a, side_b, abs(len(side_a) - len(side_b)))
             )
     cuts.sort(key=lambda bb: (bb.e1, bb.e2))
     return tuple(cuts)

@@ -90,9 +90,10 @@ def make_reducible_state(
     profile = bfs_distances(graph, root, within=side)
     if any(profile.dist[v] is None for v in side):
         raise InputError("side is not internally connected from the root")
-    side_sub, _ = induced_subgraph(graph, side)
-    computed = distinct_cycle_edges(side_sub, MODE_FULL).count
-    k_side = computed if side_cycle_orbits is None else side_cycle_orbits
+    k_side = side_cycle_orbits
+    if k_side is None:
+        side_sub, _ = induced_subgraph(graph, side)
+        k_side = distinct_cycle_edges(side_sub, MODE_FULL).count
     if k_side < 1:
         raise InputError("side has no cycle edges at all")
     return ReducibleState(graph, root, side, bridge, profile, k_side)

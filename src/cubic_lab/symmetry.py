@@ -12,7 +12,7 @@ never exceed a few dozen vertices and exactness matters more than
 asymptotics here.
 
 The starting partition groups vertices by ``_vertex_keys`` (degree, triangles,
-sorted BFS distances), the same keys the enumerator's root filter uses.
+sorted BFS distances).
 Refinement keys a vertex by the sorted cell indices of its neighbors. The
 search skips subtrees that are images of earlier ones: two leaves with
 equal codes give an automorphism, and a child in the orbit of an explored
@@ -127,24 +127,6 @@ def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple]:
         (len(adj[v]), _triangles(adj, v), _distances(adj, v))
         for v in range(len(adj))
     ]
-
-
-def vertex_zero_key_is_least(adj: Sequence[Sequence[int]]) -> bool:
-    """Whether ``_vertex_keys(adj)[0] == min(_vertex_keys(adj))``, with an
-    early exit: degree and triangle count settle most vertices, so BFS runs
-    only for the vertices that tie with vertex 0 on both."""
-    head = (len(adj[0]), _triangles(adj, 0))
-    ties = []
-    for v in range(1, len(adj)):
-        key = (len(adj[v]), _triangles(adj, v))
-        if key < head:
-            return False
-        if key == head:
-            ties.append(v)
-    if not ties:
-        return True
-    dist0 = _distances(adj, 0)
-    return all(_distances(adj, v) >= dist0 for v in ties)
 
 
 def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]]:
@@ -332,6 +314,27 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(group))
 
 
+def _orbit_roots(items: Sequence, generators: Sequence[Sequence[int]], image) -> list[int]:
+    """For each item, the least index of its orbit under the group the
+    generators generate, where ``image(gamma, item)`` is the item gamma
+    maps it to. Union-find joins every item with each of its images."""
+    index = {x: i for i, x in enumerate(items)}
+    parent = list(range(len(items)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for gamma in generators:
+        for i, x in enumerate(items):
+            j, k = find(i), find(index[image(gamma, x)])
+            if j != k:
+                parent[max(j, k)] = min(j, k)
+    return [find(i) for i in range(len(items))]
+
+
 def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> EdgeOrbitPartition:
     """Partition the edges into orbits under the chosen group.
 
@@ -354,25 +357,12 @@ def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> 
     generators = _search(g, root)[1] if g.n else []
     _check_automorphisms(g, generators, root)
     edges = g.edges()
-    index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for gamma in generators:
-        for i, (u, w) in enumerate(edges):
-            j, k = find(i), find(index[edge(gamma[u], gamma[w])])
-            if j != k:
-                parent[max(j, k)] = min(j, k)
+    roots = _orbit_roots(edges, generators, lambda gamma, e: edge(gamma[e.u], gamma[e.v]))
     # edges come sorted and a class's root is its least index, so orbits
     # form sorted, in the order of their least edges
     grouped: dict[int, list[Edge]] = {}
-    for i, e in enumerate(edges):
-        grouped.setdefault(find(i), []).append(e)
+    for first, e in zip(roots, edges):
+        grouped.setdefault(first, []).append(e)
     orbits = tuple(tuple(members) for members in grouped.values())
     return EdgeOrbitPartition(orbits, mode, root)
 

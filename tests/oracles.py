@@ -2,13 +2,15 @@
 algorithms: edge/pair deletion for cuts, permutation scans for isomorphism
 and automorphisms, exhaustive labeled generation, a second (orderly,
 canonical-matrix) generator for cross-checking the enumerator, the
-unpruned canonical-form search with its vertex keys, and the vertex-image
-automorphism backtracker. Only ``graphs`` (the graph value, its codec and
+unpruned canonical-form search with its vertex keys, the vertex-image
+automorphism backtracker, and the former saturation enumerator with its
+two filters. Only ``graphs`` (the graph value, its codec and
 BFS) is imported from the library."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from typing import Iterator
 
 from cubic_lab.graphs import Graph, bfs_distances, build_graph, edge, emit_graph6, relabel
 
@@ -472,3 +474,79 @@ def oracle_block_swap_lowers(adj, blocks) -> bool:
             if swapped < base:
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# the former saturation enumerator
+# ---------------------------------------------------------------------------
+# The library now grows each vertex count from the one below by edge
+# insertion. This walks every first-use labeling instead, drops the leaves
+# that either filter rejects, and canonicalises the rest with the unpruned
+# search, so it shares no generation code with the library.
+
+def _saturation_leaves(n: int) -> Iterator[tuple[list[list[int]], list[tuple[int, int, int]]]]:
+    """Yield (adjacency, fresh blocks) for every connected cubic labeled
+    graph whose vertex ids follow first-use order. A block (owner, start,
+    size) records that ``owner``'s turn handed out ids start..start+size-1."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    deg = [0] * n
+    blocks: list[tuple[int, int, int]] = []
+
+    def turn(u: int, frontier: int) -> Iterator[tuple[list[list[int]], list[tuple[int, int, int]]]]:
+        if u == n:
+            if frontier == n:
+                yield adj, blocks
+            return
+        if u >= frontier:
+            # u was never attached to anything earlier: only legal for the
+            # very first vertex, otherwise the prefix is a closed component
+            if u != 0:
+                return
+            frontier = 1
+        need = 3 - deg[u]
+        if need == 0:
+            yield from turn(u + 1, frontier)
+            return
+        existing = [
+            w for w in range(u + 1, frontier) if deg[w] < 3 and w not in adj[u]
+        ]
+        for fresh in range(min(need, n - frontier), -1, -1):
+            from_existing = need - fresh
+            if from_existing > len(existing):
+                continue
+            new_ids = list(range(frontier, frontier + fresh))
+            for combo in combinations(existing, from_existing):
+                partners = list(combo) + new_ids
+                for w in partners:
+                    adj[u].append(w)
+                    adj[w].append(u)
+                    deg[w] += 1
+                deg[u] += need
+                if fresh:
+                    blocks.append((u, frontier, fresh))
+                yield from turn(u + 1, frontier + fresh)
+                if fresh:
+                    blocks.pop()
+                deg[u] -= need
+                for w in partners:
+                    adj[u].pop()
+                    adj[w].pop()
+                    deg[w] -= 1
+
+    yield from turn(0, 0)
+
+
+def oracle_enumerate(n: int) -> list:
+    """Sorted canonical graph6 bytes of the connected cubic graphs on n
+    vertices: the saturation leaves that no block swap lowers and whose
+    vertex 0 holds the least cheap key, canonicalised without pruning."""
+    forms = set()
+    for adj, blocks in _saturation_leaves(n):
+        if oracle_block_swap_lowers(adj, blocks):
+            continue
+        keys = oracle_cheap_vertex_keys(adj)
+        if keys[0] != min(keys):
+            continue
+        g = build_graph(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+        forms.add(oracle_canonical_form(g)[0])
+    return sorted(forms)

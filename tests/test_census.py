@@ -4,9 +4,7 @@ from cubic_lab import census
 from cubic_lab.census import (
     BridgeTreeReport,
     CensusRow,
-    _block_swap_reducible,
     _is_complete_tree,
-    _saturation_leaves,
     _size_in_window,
     census_csv,
     census_json,
@@ -20,12 +18,19 @@ from cubic_lab.census import (
 )
 from cubic_lab.connectivity import find_bridges
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import build_graph, emit_graph6, is_connected, is_cubic
+from cubic_lab.graphs import (
+    add_edges,
+    build_graph,
+    emit_graph6,
+    is_connected,
+    is_cubic,
+    remove_vertices,
+)
 from cubic_lab.hamilton import has_hamiltonian_cycle
-from cubic_lab.symmetry import canonical_form, vertex_zero_key_is_least
+from cubic_lab.symmetry import canonical_form
 
 from conftest import make_dumbbell
-from oracles import oracle_block_swap_lowers, oracle_cheap_vertex_keys
+from oracles import oracle_enumerate
 
 
 class TestEnumerate:
@@ -34,6 +39,8 @@ class TestEnumerate:
         assert len(enumerate_cubic(6)) == 2
         assert len(enumerate_cubic(8)) == 5
         assert len(enumerate_cubic(10)) == 19
+        assert len(enumerate_cubic(12)) == 85
+        assert len(enumerate_cubic(14)) == 509
 
     def test_odd_rejected(self):
         with pytest.raises(InputError, match="odd"):
@@ -73,29 +80,44 @@ class TestEnumerate:
         assert got == want
 
 
-class TestRootFilterAndShards:
-    def test_root_filter_matches_full_key_rule(self):
-        checked = 0
-        for n in range(4, 11, 2):
-            for adj, _ in _saturation_leaves(n):
-                keys = oracle_cheap_vertex_keys(adj)
-                assert vertex_zero_key_is_least(adj) == (keys[0] == min(keys)), adj
-                checked += 1
-        assert checked == 1 + 5 + 50 + 639
+def _insertion_reductions(g):
+    """Every (x, y, M) for an edge xy whose other ends a, b (at x) and c, d
+    (at y) are four distinct vertices, and a perfect matching M of them
+    that makes g - x - y + M connected, simple and cubic."""
+    found = []
+    for x, y in g.edges():
+        a, b = (w for w in g.adj[x] if w != y)
+        c, d = (w for w in g.adj[y] if w != x)
+        if len({a, b, c, d}) < 4:
+            continue
+        rest, remap = remove_vertices(g, [x, y])
+        for matching in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            if any(g.has_edge(u, w) for u, w in matching):
+                continue
+            h = add_edges(rest, [(remap[u], remap[w]) for u, w in matching])
+            if is_connected(h) and is_cubic(h):
+                found.append((x, y, matching))
+    return found
 
-    def test_block_swap_matches_full_resort(self):
-        checked = 0
+
+class TestGeneration:
+    def test_equals_saturation_oracle(self):
         for n in range(4, 13, 2):
-            for adj, blocks in _saturation_leaves(n):
-                want = oracle_block_swap_lowers(adj, blocks)
-                assert _block_swap_reducible(adj, blocks) == want, (adj, blocks)
-                checked += want
-        assert checked > 0
+            ours = [emit_graph6(g).encode() for g in enumerate_cubic(n)]
+            assert ours == oracle_enumerate(n), n
 
-    def test_sharded_walk_same_for_every_jobs_value(self, monkeypatch):
+    def test_every_class_reduces_by_edge_insertion(self, k4):
+        # the census docstring's lemma: every class on n >= 6 vertices is a
+        # child of a connected simple cubic graph on n - 2 vertices
+        assert _insertion_reductions(k4) == []
+        for n in range(6, 13, 2):
+            for g in enumerate_cubic(n):
+                assert _insertion_reductions(g), emit_graph6(g)
+
+    def test_levels_same_for_every_jobs_value(self, monkeypatch):
         results = []
         for jobs in (1, 2, 3):
-            # a fresh cache, so every jobs value walks the tree itself
+            # a fresh cache, so every jobs value grows every level itself
             monkeypatch.setattr(census, "_ENUMERATED", {})
             rows = census_table(4, 12, jobs=jobs)
             graphs = {n: enumerate_cubic(n) for n in range(4, 13, 2)}

@@ -71,6 +71,21 @@ def diamond_stalk():
     return g, 5, side, edge(4, 5)
 
 
+def ladder_dumbbell():
+    """Two 13-rung circular ladders, each with one rim edge subdivided, and
+    a bridge (26, 53) joining the subdivision vertices: 54 vertices, and
+    each side has 27, past the canonical cap."""
+    edges = [(26, 53)]
+    for offset in (0, 27):
+        for i in range(13):
+            j = (i + 1) % 13
+            edges += [(offset + i, offset + 13 + i), (offset + 13 + i, offset + 13 + j)]
+            if i:
+                edges.append((offset + i, offset + j))
+        edges += [(offset, offset + 26), (offset + 26, offset + 1)]
+    return build_graph(54, edges)
+
+
 class TestFifthRoot:
     def test_values(self):
         assert int_fifth_root(1) == 1
@@ -116,6 +131,16 @@ class TestNearestRegion:
         )
         with pytest.raises(InputError, match="side has"):
             nearest_region(st)
+
+    def test_supplied_k_needs_no_orbits(self):
+        g = ladder_dumbbell()
+        assert is_cubic(g) and find_bridges(g) == (edge(26, 53),)
+        side = frozenset(range(27))
+        st = make_reducible_state(g, 26, side, edge(26, 53), side_cycle_orbits=1024)
+        assert st.side_cycle_orbits == 1024
+        assert nearest_region(st) == frozenset({0, 1, 26})
+        with pytest.raises(InputError, match="at most 24"):
+            make_reducible_state(g, 26, side, edge(26, 53))
 
     def test_d8_state_computes_real_orbit_count(self, d8):
         rec = bridge_construct(d8)
