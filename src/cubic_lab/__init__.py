@@ -11,7 +11,6 @@ from .graphs import (
     DistanceProfile,
     Edge,
     Graph,
-    basic_predicates,
     bfs_distances,
     build_graph,
     edge,

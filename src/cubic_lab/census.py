@@ -73,9 +73,8 @@ from .graphs import (
     remove_edges,
 )
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
-from .reduction import int_fifth_root, nearest_vertices
+from .reduction import int_fifth_root, is_complete_tree, nearest_vertices
 from .symmetry import (
-    MODE_FULL,
     _canonical_graph6,
     _check_automorphisms,
     _orbit_roots,
@@ -318,27 +317,6 @@ class BridgeTreeReport:
     cycle_orbits: Optional[int]
 
 
-def _is_complete_tree(sub: Graph, root: int) -> bool:
-    """Tree rooted at ``root`` with exactly two children under every internal
-    vertex and all leaves at equal depth; a single vertex counts."""
-    if sub.n == 1:
-        return True
-    if sub.m != sub.n - 1:
-        return False
-    profile = bfs_distances(sub, root)
-    if any(d is None for d in profile.dist):
-        return False
-    depth = profile.max_dist
-    for v in range(sub.n):
-        d = profile.dist[v]
-        children = sum(1 for w in sub.adj[v] if profile.dist[w] == d + 1)
-        if d < depth and children != 2:
-            return False
-        if d == depth and children != 0:
-            return False
-    return True
-
-
 def _size_in_window(size: int, k: int) -> bool:
     # [fifth_root(k) / 2, fifth_root(k)) checked in exact integer arithmetic
     return (2 * size) ** 5 >= k and size ** 5 < k
@@ -354,7 +332,7 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
         for root in br:
             side = component_of(h, root, {br})
             side_sub, remap = induced_subgraph(h, side)
-            k = distinct_cycle_edges(side_sub, MODE_FULL).count
+            k = distinct_cycle_edges(side_sub)
             if k < 1:
                 continue
             profile = bfs_distances(side_sub, remap[root])
@@ -362,7 +340,7 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
             if not region:
                 continue
             region_sub, region_map = induced_subgraph(side_sub, region)
-            if not _is_complete_tree(region_sub, region_map[remap[root]]):
+            if not is_complete_tree(region_sub, region_map[remap[root]]):
                 continue
             if _size_in_window(len(region), k):
                 return BridgeTreeReport(True, len(region), k)

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 bad input or usage, 2 broken internal invariant.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .construction import (
     active_side_bridgeless,
     bridge_construct,
     depth_bound_report,
+    insertable_edges,
     insertion_family,
     record_to_dict,
 )
@@ -83,7 +85,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("reduce", help="insert at an edge, then remove four vertices")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--edge", type=int, nargs=2, metavar=("U", "V"),
-                   help="cycle edge for the insertion (default: first family edge)")
+                   help="cycle edge for the insertion (default: least insertable edge)")
     add_common(p, ("json",), "json")
 
     p = sub.add_parser("census", help="classification counts per vertex count")
@@ -186,11 +188,10 @@ def _cmd_reduce(args) -> str:
     if args.edge is not None:
         chosen = edge(args.edge[0], args.edge[1])
     else:
-        fam = insertion_family(rec)
-        inserts = [m for m in fam.members if m.kind == "insert"]
-        if not inserts:
+        insertable = insertable_edges(rec)
+        if not insertable:
             raise InputError("no insertable cycle edge exists for this graph")
-        chosen = inserts[0].chosen_edge
+        chosen = min(insertable)
     outcome = reduce_to_n(rec, chosen)
     payload = outcome.to_dict()
     payload["edge"] = list(chosen)
@@ -240,12 +241,7 @@ def _cmd_verify(args) -> str:
             entry.update({
                 "construction_ok": True,
                 "side_all_edges_on_cycles": cyclic,
-                "max_dist": bound.max_dist,
-                "orbit_count_full": bound.orbit_count_full,
-                "orbit_count_stabilizer": bound.orbit_count_stabilizer,
-                "holds_full_group": bound.holds_full_group,
-                "holds_stabilizer": bound.holds_stabilizer,
-                "facilitated_complete": bound.facilitated_complete,
+                **dataclasses.asdict(bound),
             })
             if not cyclic or not bound.holds_stabilizer or not bound.facilitated_complete:
                 hard_failures += 1

@@ -39,7 +39,6 @@ from .graphs import (
 from .symmetry import (
     MODE_FULL,
     MODE_STABILIZER,
-    EdgeOrbitPartition,
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
@@ -76,11 +75,11 @@ class ConstructionRecord:
         return side, remap, frozenset(find_bridges(side))
 
     @cached_property
-    def _stabilizer_partition(self) -> EdgeOrbitPartition:
+    def _stabilizer_orbits(self) -> tuple[tuple[Edge, ...], ...]:
         # one rooted search per record: insertion_family in stabilizer mode
         # and the depth report both read it
         side, remap, _ = self._side_with_bridges
-        return edge_orbits(side, MODE_STABILIZER, remap[self.root])
+        return edge_orbits(side, remap[self.root])
 
 
 def select_active_side(g: Graph, bb: BiBridge) -> str:
@@ -93,8 +92,8 @@ def select_active_side(g: Graph, bb: BiBridge) -> str:
     """
     sub_a, _ = induced_subgraph(g, bb.side_a)
     sub_b, _ = induced_subgraph(g, bb.side_b)
-    count_a = distinct_cycle_edges(sub_a, MODE_FULL).count
-    count_b = distinct_cycle_edges(sub_b, MODE_FULL).count
+    count_a = distinct_cycle_edges(sub_a)
+    count_b = distinct_cycle_edges(sub_b)
     if count_a != count_b:
         return "a" if count_a > count_b else "b"
     form_a = canonical_form(sub_a).graph6
@@ -186,8 +185,8 @@ class DepthBoundReport:
 
 def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
     side, _, _ = rec._side_with_bridges
-    full = len(edge_orbits(side, MODE_FULL).orbits)
-    stab = len(rec._stabilizer_partition.orbits)
+    full = len(edge_orbits(side))
+    stab = len(rec._stabilizer_orbits)
     d = rec.profile.max_dist
     dist = rec.profile.dist
     facilitated = set()
@@ -238,6 +237,20 @@ def _insertion_pairings(rec: ConstructionRecord, cut: Edge) -> tuple[_Pairing, .
     if not g.has_edge(lo, open2) and not g.has_edge(hi, open1):
         pairings.append(((lo, open2), (hi, open1)))
     return tuple(pairings)
+
+
+def insertable_edges(rec: ConstructionRecord) -> tuple[Edge, ...]:
+    """The edges ``cycle_insertion`` accepts, in the augmented graph's ids
+    and sorted: cycle edges of the active side that avoid the open nodes
+    and have a simple pairing."""
+    _, remap, side_bridges = rec._side_with_bridges
+    return tuple(
+        e for e in rec.augmented.edges()
+        if e.u in remap and e.v in remap
+        and e.u not in rec.open_nodes and e.v not in rec.open_nodes
+        and edge(remap[e.u], remap[e.v]) not in side_bridges
+        and _insertion_pairings(rec, e)
+    )
 
 
 class _BridgeMismatch(InvariantError):
@@ -329,37 +342,37 @@ class InsertionFamily:
 
 
 def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> InsertionFamily:
-    """One member per distinct-cycle-edge orbit of the active side.
+    """One member per distinct-cycle-edge orbit of the active side, under the
+    root's stabilizer (``MODE_STABILIZER``) or the side's full group
+    (``MODE_FULL``).
 
-    Orbit representatives are chosen insertable (not touching the open
-    nodes) whenever the orbit has such an edge; orbits made up entirely of
-    open-node-adjacent edges collapse into the single join-open-nodes member.
-    Isomorphism collisions between members are reported, never dropped.
+    Orbit representatives are the least ``insertable_edges`` of the orbit
+    whenever it has one; orbits with no insertable edge collapse into the
+    single join-open-nodes member. Isomorphism collisions between members
+    are reported, never dropped.
     """
     side, remap, side_bridges = rec._side_with_bridges
+    if mode == MODE_STABILIZER:
+        orbits = rec._stabilizer_orbits
+    elif mode == MODE_FULL:
+        orbits = edge_orbits(side)
+    else:
+        raise InputError(f"unknown orbit mode {mode!r}")
     inverse = {new: old for old, new in remap.items()}
-    partition = (
-        rec._stabilizer_partition if mode == MODE_STABILIZER
-        else edge_orbits(side, mode)
-    )
-    open_sub = {remap[v] for v in rec.open_nodes}
+    insertable = set(insertable_edges(rec))
 
     members: list[FamilyMember] = []
     blocked_reps: list[Edge] = []
-    for orbit in partition.orbits:
+    for orbit in orbits:
         if orbit[0] in side_bridges:
             continue
-        insertable = [
-            edge(inverse[e.u], inverse[e.v])
-            for e in orbit
-            if e.u not in open_sub and e.v not in open_sub
-        ]
-        insertable = [e for e in insertable if _insertion_pairings(rec, e)]
-        if insertable:
-            rep = min(insertable)
+        edges = [edge(inverse[e.u], inverse[e.v]) for e in orbit]
+        candidates = [e for e in edges if e in insertable]
+        if candidates:
+            rep = min(candidates)
             members.append(FamilyMember(rep, MEMBER_INSERT, cycle_insertion(rec, rep)))
         else:
-            blocked_reps.append(edge(inverse[orbit[0].u], inverse[orbit[0].v]))
+            blocked_reps.append(edges[0])
     if blocked_reps:
         members.append(
             FamilyMember(min(blocked_reps), MEMBER_JOIN, join_open_nodes(rec))

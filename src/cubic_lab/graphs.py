@@ -147,12 +147,7 @@ def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int
     for v in dropped:
         if not 0 <= v < g.n:
             raise InputError(f"vertex {v} out of range")
-    keep = [v for v in range(g.n) if v not in dropped]
-    remap = {old: new for new, old in enumerate(keep)}
-    nbrs = [
-        sorted(remap[w] for w in g.adj[old] if w not in dropped) for old in keep
-    ]
-    return Graph(len(keep), tuple(tuple(row) for row in nbrs)), remap
+    return induced_subgraph(g, (v for v in range(g.n) if v not in dropped))
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
@@ -337,18 +332,3 @@ def is_connected(g: Graph) -> bool:
 
 def is_cubic(g: Graph) -> bool:
     return all(len(nbrs) == 3 for nbrs in g.adj)
-
-
-def degree_sequence(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted((len(nbrs) for nbrs in g.adj), reverse=True))
-
-
-@dataclass(frozen=True)
-class GraphFacts:
-    is_cubic: bool
-    is_connected: bool
-    degree_sequence: tuple[int, ...]
-
-
-def basic_predicates(g: Graph) -> GraphFacts:
-    return GraphFacts(is_cubic(g), is_connected(g), degree_sequence(g))

@@ -13,6 +13,14 @@ it, and applies the matching two-vertex removal:
                         reconnect their hanging neighbors
   complete tree      -> no removal applies; the state is reported instead
 
+A complete tree is one rule, ``is_complete_tree``, shared with the census
+probe: a tree rooted at the root, two children under every internal vertex
+and every leaf at one depth (a single vertex counts). A region with no
+triangle and no horizontal edge that is not one (a cycle through two
+parents of one vertex, say) matches no case, and ``classify_region``
+raises InputError naming the graph and the region, as the surgeries
+refuse the configurations they cannot handle.
+
 Each step must leave the graph connected, cubic, and bridge, exactly two
 vertices smaller, with no surviving side vertex farther from the root than
 before. Violations raise InvariantError with the broken constraint named;
@@ -51,7 +59,7 @@ from .graphs import (
     remove_edges,
     remove_vertices,
 )
-from .symmetry import MODE_FULL, distinct_cycle_edges
+from .symmetry import distinct_cycle_edges
 from .construction import ConstructionRecord, cycle_insertion
 
 
@@ -93,7 +101,7 @@ def make_reducible_state(
     k_side = side_cycle_orbits
     if k_side is None:
         side_sub, _ = induced_subgraph(graph, side)
-        k_side = distinct_cycle_edges(side_sub, MODE_FULL).count
+        k_side = distinct_cycle_edges(side_sub)
     if k_side < 1:
         raise InputError("side has no cycle edges at all")
     return ReducibleState(graph, root, side, bridge, profile, k_side)
@@ -130,12 +138,6 @@ class CompleteTree:
 
 
 RegionCase = Union[IsolatedTriangle, AdjacentTriangles, HorizontalEdge, CompleteTree]
-
-
-@dataclass(frozen=True)
-class APrimeRegion:
-    vertices: frozenset[int]
-    case: RegionCase
 
 
 def int_fifth_root(k: int) -> int:
@@ -177,10 +179,25 @@ def nearest_vertices(
     return frozenset(v for v in chosen if dist[v] < deepest)
 
 
-def extract_region(st: ReducibleState) -> APrimeRegion:
-    """Select the near-root region and classify it in one step."""
-    vertices = nearest_region(st)
-    return APrimeRegion(vertices, classify_region(st.graph, vertices, st.profile))
+def is_complete_tree(sub: Graph, root: int) -> bool:
+    """Tree rooted at ``root`` with exactly two children under every internal
+    vertex and all leaves at equal depth; a single vertex counts."""
+    if sub.n == 1:
+        return True
+    if sub.m != sub.n - 1:
+        return False
+    profile = bfs_distances(sub, root)
+    if any(d is None for d in profile.dist):
+        return False
+    depth = profile.max_dist
+    for v in range(sub.n):
+        d = profile.dist[v]
+        children = sum(1 for w in sub.adj[v] if profile.dist[w] == d + 1)
+        if d < depth and children != 2:
+            return False
+        if d == depth and children != 0:
+            return False
+    return True
 
 
 def _triangles(sub: Graph) -> list[tuple[int, int, int]]:
@@ -196,7 +213,8 @@ def _triangles(sub: Graph) -> list[tuple[int, int, int]]:
 
 
 def classify_region(graph: Graph, region: frozenset[int], profile: DistanceProfile) -> RegionCase:
-    """Route a region to its reduction case, in fixed priority order."""
+    """Route a region to its reduction case, in fixed priority order. A
+    region that matches none (module docstring) raises InputError."""
     if not region:
         raise InputError("cannot classify an empty region")
     sub, remap = induced_subgraph(graph, region)
@@ -224,6 +242,11 @@ def classify_region(graph: Graph, region: frozenset[int], profile: DistanceProfi
     ]
     if level_edges:
         return HorizontalEdge(min(level_edges))
+    if profile.root not in region or not is_complete_tree(sub, remap[profile.root]):
+        raise InputError(
+            f"region {sorted(region)} of {emit_graph6(graph)} has no triangle and "
+            f"no horizontal edge but is not a complete tree rooted at {profile.root}"
+        )
     return CompleteTree()
 
 
@@ -519,11 +542,10 @@ def _case_name(case: RegionCase) -> str:
 
 
 def reduce_step(st: ReducibleState) -> tuple[Optional[ReducibleState], RegionCase, frozenset[int]]:
-    """One extract-classify-reduce pass. Returns (next state or None when the
+    """One select-classify-reduce pass. Returns (next state or None when the
     region is a complete tree, the case, the region)."""
-    extracted = extract_region(st)
-    case = extracted.case
-    region = extracted.vertices
+    region = nearest_region(st)
+    case = classify_region(st.graph, region, st.profile)
     if isinstance(case, CompleteTree):
         return None, case, region
     if isinstance(case, IsolatedTriangle):

@@ -45,21 +45,23 @@ generate A_k.
     v_{k+1}, so h g lies in A_{k+1}, which R generates.
 With k = 0, R generates Aut(G).
 
-Stabilizer mode runs the same search with a root r split out of its key
-cell as a singleton placed first, as ``visit`` individualizes a vertex;
-call that node m_0. Every automorphism preserves the key partition, so the
+A root r runs the same search with r split out of its key cell as a
+singleton placed first, as ``visit`` individualizes a vertex; call that
+node m_0. Every automorphism preserves the key partition, so the
 automorphisms that preserve m_0 are exactly those fixing r. The induction
 above, started at m_0 with A_k the automorphisms fixing r, v_1, ..., v_k,
 goes through unchanged: r keeps its position at every node below m_0, so
-every recorded map fixes it, and at k = 0 R generates Stab(r). In either
-mode the edge orbits are the classes of edges that R joins, so no group is
-listed. Every recorded permutation is still checked against the edge set.
+every recorded map fixes it, and at k = 0 R generates Stab(r). With or
+without a root the edge orbits are the classes of edges that R joins, so
+no group is listed. Every recorded permutation is still checked against
+the edge set.
 
 "Distinct" edges follow the orbit view: two edges are interchangeable when
-some admitted automorphism maps one onto the other. The admitted group is
-either the full automorphism group or the stabilizer of a chosen root; the
-stabilizer mode matters because distance-from-root arguments only survive
-automorphisms that fix the root.
+some admitted automorphism maps one onto the other. The root picks the
+group: without one it is Aut(G), with one it is Stab(root), which is what
+distance-from-root arguments need, since only automorphisms fixing the
+root keep distances from it. ``MODE_FULL`` and ``MODE_STABILIZER`` name
+that choice where a caller states it, as ``insertion_family`` does.
 """
 
 from __future__ import annotations
@@ -86,13 +88,6 @@ class CanonicalForm:
 
     graph6: bytes
     labeling: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class EdgeOrbitPartition:
-    orbits: tuple[tuple[Edge, ...], ...]
-    mode: str
-    root: Optional[int]
 
 
 def _triangles(adj: Sequence[Sequence[int]], v: int) -> int:
@@ -335,23 +330,17 @@ def _orbit_roots(items: Sequence, generators: Sequence[Sequence[int]], image) ->
     return [find(i) for i in range(len(items))]
 
 
-def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> EdgeOrbitPartition:
-    """Partition the edges into orbits under the chosen group.
+def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...], ...]:
+    """Partition the edges into orbits: under Aut(G) without a root, under
+    the root's stabilizer with one.
 
     The orbits are the classes of edges joined by the generators the
-    canonical search records: of Aut(G) in full mode, and of the root's
-    stabilizer when the search individualizes the root first. No group is
-    listed, so the cap is the canonical one.
+    canonical search records, individualizing the root first when there
+    is one. No group is listed, so the cap is the canonical one. Orbits
+    are sorted, in the order of their least edges.
     """
-    if mode not in (MODE_FULL, MODE_STABILIZER):
-        raise InputError(f"unknown orbit mode {mode!r}")
-    if mode == MODE_STABILIZER:
-        if root is None:
-            raise InputError("stabilizer mode needs a root vertex")
-        if not 0 <= root < g.n:
-            raise InputError(f"vertex {root} out of range")
-    else:
-        root = None
+    if root is not None and not 0 <= root < g.n:
+        raise InputError(f"vertex {root} out of range")
     if g.n > CANON_MAX_N:
         raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
     generators = _search(g, root)[1] if g.n else []
@@ -363,27 +352,18 @@ def edge_orbits(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> 
     grouped: dict[int, list[Edge]] = {}
     for first, e in zip(roots, edges):
         grouped.setdefault(first, []).append(e)
-    orbits = tuple(tuple(members) for members in grouped.values())
-    return EdgeOrbitPartition(orbits, mode, root)
+    return tuple(tuple(members) for members in grouped.values())
 
 
-@dataclass(frozen=True)
-class DistinctCycleEdges:
-    """Count of edge orbits that lie on cycles, with one representative per
-    orbit (an edge is on a cycle iff it is not a bridge)."""
-
-    count: int
-    representatives: tuple[Edge, ...]
-
-
-def distinct_cycle_edges(g: Graph, mode: str = MODE_FULL, root: Optional[int] = None) -> DistinctCycleEdges:
+def distinct_cycle_edges(g: Graph) -> int:
+    """The number of Aut(G) edge orbits that lie on cycles (an edge is on a
+    cycle iff it is not a bridge)."""
     bridges = set(find_bridges(g))
-    partition = edge_orbits(g, mode, root)
-    reps: list[Edge] = []
-    for orbit in partition.orbits:
+    count = 0
+    for orbit in edge_orbits(g):
         on_cycle = [e not in bridges for e in orbit]
         if any(on_cycle) != all(on_cycle):
             raise InvariantError("orbit mixes bridge and cycle edges")
         if on_cycle[0]:
-            reps.append(orbit[0])
-    return DistinctCycleEdges(len(reps), tuple(sorted(reps)))
+            count += 1
+    return count

@@ -424,12 +424,11 @@ def oracle_edge_orbits(g: Graph, perms) -> tuple:
     return tuple(orbits)
 
 
-def oracle_distinct_cycle_edges(g: Graph, perms) -> tuple:
-    """(count, representatives) of the edge orbits under the permutations
-    that hold no bridge, each represented by its least edge."""
+def oracle_distinct_cycle_edges(g: Graph, perms) -> int:
+    """The number of edge orbits under the permutations that hold no
+    bridge."""
     bridges = oracle_bridges(g)
-    reps = tuple(orbit[0] for orbit in oracle_edge_orbits(g, perms) if orbit[0] not in bridges)
-    return len(reps), reps
+    return sum(1 for orbit in oracle_edge_orbits(g, perms) if orbit[0] not in bridges)
 
 
 def oracle_cheap_vertex_keys(adj) -> list:

@@ -4,7 +4,6 @@ from cubic_lab import census
 from cubic_lab.census import (
     BridgeTreeReport,
     CensusRow,
-    _is_complete_tree,
     _size_in_window,
     census_csv,
     census_json,
@@ -27,6 +26,7 @@ from cubic_lab.graphs import (
     remove_vertices,
 )
 from cubic_lab.hamilton import has_hamiltonian_cycle
+from cubic_lab.reduction import is_complete_tree
 from cubic_lab.symmetry import canonical_form
 
 from conftest import make_dumbbell
@@ -193,23 +193,23 @@ class TestCensusTable:
 
 class TestCompleteTreeShape:
     def test_single_vertex(self):
-        assert _is_complete_tree(build_graph(1, []), 0)
+        assert is_complete_tree(build_graph(1, []), 0)
 
     def test_binary_depth_two(self):
         # 1 + 2 + 4 vertices, children two apiece, uniform leaf depth
         g = build_graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
-        assert _is_complete_tree(g, 0)
+        assert is_complete_tree(g, 0)
 
     def test_rejects_uneven_leaves(self):
         g = build_graph(5, [(0, 1), (0, 2), (1, 3), (3, 4)])
-        assert not _is_complete_tree(g, 0)
+        assert not is_complete_tree(g, 0)
 
     def test_rejects_cycles(self, triangle):
-        assert not _is_complete_tree(triangle, 0)
+        assert not is_complete_tree(triangle, 0)
 
     def test_rejects_single_child_chain(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        assert not _is_complete_tree(g, 0)
+        assert not is_complete_tree(g, 0)
 
     def test_window_arithmetic(self):
         # size in [k^(1/5)/2, k^(1/5)) in exact integer form

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 
@@ -11,13 +12,22 @@ from cubic_lab.construction import (
     bridge_construct,
     cycle_insertion,
     depth_bound_report,
+    insertable_edges,
     insertion_family,
     join_open_nodes,
     record_to_dict,
     select_active_side,
 )
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import edge, induced_subgraph, is_cubic, parse_graph6, remove_edges
+from cubic_lab.graphs import (
+    edge,
+    emit_graph6,
+    induced_subgraph,
+    is_cubic,
+    parse_graph6,
+    relabel,
+    remove_edges,
+)
 from cubic_lab.symmetry import (
     MODE_FULL,
     MODE_STABILIZER,
@@ -33,8 +43,8 @@ class TestSelectActiveSide:
         sub_a, _ = induced_subgraph(d8, bb.side_a)
         sub_b, _ = induced_subgraph(d8, bb.side_b)
         # both sides are diamonds: two distinct cycle edges each
-        assert distinct_cycle_edges(sub_a).count == 2
-        assert distinct_cycle_edges(sub_b).count == 2
+        assert distinct_cycle_edges(sub_a) == 2
+        assert distinct_cycle_edges(sub_b) == 2
         assert canonical_form(sub_a).graph6 == canonical_form(sub_b).graph6
         assert select_active_side(d8, bb) == "a"
         assert 0 in bb.side_a
@@ -43,8 +53,8 @@ class TestSelectActiveSide:
         bb = most_balanced_bibridge(diamond_ring)
         sub_a, _ = induced_subgraph(diamond_ring, bb.side_a)
         sub_b, _ = induced_subgraph(diamond_ring, bb.side_b)
-        count_a = distinct_cycle_edges(sub_a).count
-        count_b = distinct_cycle_edges(sub_b).count
+        count_a = distinct_cycle_edges(sub_a)
+        count_b = distinct_cycle_edges(sub_b)
         assert count_a != count_b  # diamond side vs two-diamond chain
         want = "a" if count_a > count_b else "b"
         assert select_active_side(diamond_ring, bb) == want
@@ -118,7 +128,7 @@ class TestDepthBound:
 
     def test_one_rooted_search_per_record(self, d8, monkeypatch):
         # the stabilizer-mode family and the report share the record's
-        # root-stabilizer partition; only the full-group count searches again
+        # root-stabilizer orbits; only the full-group count searches again
         search = symmetry._search
         roots = []
 
@@ -195,6 +205,42 @@ class TestCycleInsertion:
                 assert after.dist[v] <= rec.profile.dist[v]
 
 
+class TestInsertableEdges:
+    def test_exactly_the_edges_cycle_insertion_accepts(self, d8, diamond_ring):
+        for g in (d8, diamond_ring):
+            rec = bridge_construct(g)
+            insertable = insertable_edges(rec)
+            assert list(insertable) == sorted(insertable)
+            for e in rec.augmented.edges():
+                if e in insertable:
+                    assert is_cubic(cycle_insertion(rec, e))
+                else:
+                    with pytest.raises(InputError):
+                        cycle_insertion(rec, e)
+
+    def test_least_is_the_first_insert_member(self):
+        # the 168 biconnected classes with n <= 14 and one seeded
+        # relabeling of each
+        from cubic_lab.census import enumerate_cubic
+
+        rng = random.Random(8)
+        checked = 0
+        for n in range(4, 15, 2):
+            for g in enumerate_cubic(n):
+                if not classify_connectivity(g).is_biconnected:
+                    continue
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    rec = bridge_construct(h)
+                    first = next(
+                        m for m in insertion_family(rec).members if m.kind == MEMBER_INSERT
+                    )
+                    assert min(insertable_edges(rec)) == first.chosen_edge, emit_graph6(h)
+                    checked += 1
+        assert checked == 336
+
+
 class TestInsertionFamily:
     def test_d8_family(self, d8):
         rec = bridge_construct(d8)
@@ -234,6 +280,11 @@ class TestInsertionFamily:
         b = insertion_family(rec)
         assert [(m.chosen_edge, m.kind, m.graph) for m in a.members] == \
                [(m.chosen_edge, m.kind, m.graph) for m in b.members]
+
+    def test_unknown_mode_rejected(self, d8):
+        rec = bridge_construct(d8)
+        with pytest.raises(InputError, match="unknown orbit mode"):
+            insertion_family(rec, "bogus")
 
     def test_full_group_mode_also_valid(self, d8):
         rec = bridge_construct(d8)

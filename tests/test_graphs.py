@@ -6,10 +6,8 @@ from hypothesis import given, strategies as st
 from cubic_lab.errors import Graph6ParseError, InputError, InvariantError
 from cubic_lab.graphs import (
     Graph,
-    basic_predicates,
     bfs_distances,
     build_graph,
-    degree_sequence,
     edge,
     emit_edgelist,
     emit_graph6,
@@ -128,7 +126,7 @@ class TestInducedSubgraph:
     def test_d8_side_is_diamond(self, d8):
         sub, _ = induced_subgraph(d8, {0, 1, 2, 3})
         assert sub.n == 4 and sub.m == 5
-        assert degree_sequence(sub) == (3, 3, 2, 2)
+        assert sorted(len(nbrs) for nbrs in sub.adj) == [2, 2, 3, 3]
 
     def test_empty_subset(self, d8):
         sub, remap = induced_subgraph(d8, set())
@@ -198,18 +196,13 @@ def test_random_graphs_keep_invariants(seed, n):
 
 class TestPredicates:
     def test_k4(self, k4):
-        facts = basic_predicates(k4)
-        assert facts.is_cubic and facts.is_connected
-        assert facts.degree_sequence == (3, 3, 3, 3)
+        assert is_cubic(k4) and is_connected(k4)
 
     def test_petersen_cubic_connected(self, petersen):
-        facts = basic_predicates(petersen)
-        assert facts.is_cubic and facts.is_connected
+        assert is_cubic(petersen) and is_connected(petersen)
 
     def test_path_not_cubic(self, path3):
-        facts = basic_predicates(path3)
-        assert not facts.is_cubic
-        assert facts.degree_sequence == (2, 1, 1)
+        assert not is_cubic(path3) and is_connected(path3)
 
     def test_disconnected(self):
         g = build_graph(4, [(0, 1), (2, 3)])

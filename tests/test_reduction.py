@@ -1,11 +1,19 @@
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from cubic_lab.connectivity import find_bridges
+from cubic_lab.connectivity import component_of, find_bridges
 from cubic_lab.construction import bridge_construct
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import bfs_distances, build_graph, edge, is_cubic
+from cubic_lab.graphs import (
+    bfs_distances,
+    build_graph,
+    edge,
+    induced_subgraph,
+    is_cubic,
+    parse_graph6,
+)
 from cubic_lab.reduction import (
     AdjacentTriangles,
     CompleteTree,
@@ -16,7 +24,6 @@ from cubic_lab.reduction import (
     classify_region,
     contract_triangle,
     excise_horizontal_pair,
-    extract_region,
     finish_diamond_splice,
     int_fifth_root,
     make_reducible_state,
@@ -30,7 +37,7 @@ from cubic_lab.reduction import (
     reduce_to_n,
     stage_diamond_removal,
 )
-from cubic_lab.symmetry import are_isomorphic
+from cubic_lab.symmetry import are_isomorphic, distinct_cycle_edges
 
 
 def half_k4(offset: int) -> list:
@@ -216,6 +223,30 @@ class TestClassifyRegion:
         with pytest.raises(InputError):
             classify_region(d8, frozenset(), profile)
 
+    def test_cyclic_region_without_triangle_or_level_edge_rejected(self):
+        # root 2 has depth-1 neighbours 0 and 1, and both are adjacent to
+        # 4 and 5 at depth 2: the region induces K_{2,3}, 6 edges on 5
+        # vertices, so it is no tree
+        g6 = "MXr?GOOC?E?X?K?K_"
+        g = parse_graph6(g6)
+        bridge = edge(2, 3)
+        side = component_of(g, 2, {bridge})
+        st = make_reducible_state(g, 2, side, bridge, side_cycle_orbits=6 ** 5)
+        region = nearest_region(st)
+        assert region == frozenset({0, 1, 2, 4, 5})
+        assert induced_subgraph(g, region)[0].m == 6
+        with pytest.raises(InputError, match=r"region \[0, 1, 2, 4, 5\] of MXr\?GOOC"):
+            classify_region(g, region, st.profile)
+        with pytest.raises(InputError, match="not a complete tree"):
+            reduce_step(st)
+
+    def test_region_without_the_root_rejected(self, d8):
+        # no triangle, no level edge, but a complete tree only counts when
+        # it hangs from the profile's root
+        profile = bfs_distances(d8, 0)
+        with pytest.raises(InputError, match="not a complete tree"):
+            classify_region(d8, frozenset({3}), profile)
+
 
 class TestContractTriangle:
     def test_prism_becomes_k4(self, prism, k4):
@@ -288,10 +319,9 @@ class TestStateReductions:
     def test_isolated_triangle_step(self):
         g, root, side, bridge = triangle_tower()
         st = make_reducible_state(g, root, side, bridge, side_cycle_orbits=8 ** 5)
-        extracted = extract_region(st)
-        region = extracted.vertices
+        region = nearest_region(st)
         assert region == frozenset({5, 6, 7, 8, 9, 10, 11})
-        case = extracted.case
+        case = classify_region(g, region, st.profile)
         assert case == IsolatedTriangle((6, 8, 9))
         nxt = reduce_isolated_triangle(st, case)
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
@@ -380,3 +410,59 @@ class TestPipeline:
         old_depth = st.profile.dist[12]
         new_id_of_12 = sorted(v for v in range(g.n) if v not in (6, 8, 9)).index(12)
         assert nxt.profile.dist[new_id_of_12] < old_depth
+
+
+_SWEEP_REFUSALS = (
+    "refusing to contract a triangle through the root",
+    "refusing to excise a diamond through the root",
+    "share neighbor",
+    "shares an outside neighbor",
+    "not a complete tree",
+)
+
+
+class TestBridgeSideSweep:
+    """``reduce_step`` on every bridge graph with 10 <= n <= 14, at every
+    bridge, from each endpoint as root, with k = m**5 for 4 <= m <= |side|.
+    These states take k by hand: the real orbit counts of their sides are
+    all below 32, where every region underflows."""
+
+    def test_outcome_counts(self):
+        from cubic_lab.census import enumerate_cubic
+
+        outcomes = Counter()
+        for n in (10, 12, 14):
+            for g in enumerate_cubic(n):
+                for br in find_bridges(g):
+                    for root in br:
+                        side = component_of(g, root, {br})
+                        assert distinct_cycle_edges(induced_subgraph(g, side)[0]) < 32
+                        for m in range(4, len(side) + 1):
+                            st = make_reducible_state(
+                                g, root, side, br, side_cycle_orbits=m ** 5
+                            )
+                            try:
+                                nxt, case, _ = reduce_step(st)
+                            except InputError as exc:
+                                refusal = next(
+                                    (r for r in _SWEEP_REFUSALS if r in str(exc)), str(exc)
+                                )
+                                outcomes[refusal] += 1
+                                continue
+                            if nxt is None:
+                                assert case == CompleteTree()
+                                outcomes["complete-tree"] += 1
+                            else:
+                                assert nxt.graph.n == n - 2
+                                outcomes[type(case).__name__] += 1
+        assert outcomes == {
+            "IsolatedTriangle": 9,
+            "HorizontalEdge": 11,
+            "complete-tree": 168,
+            "refusing to contract a triangle through the root": 50,
+            "refusing to excise a diamond through the root": 10,
+            "share neighbor": 8,
+            "shares an outside neighbor": 2,
+            "not a complete tree": 10,
+        }
+        assert sum(outcomes.values()) == 268

@@ -9,8 +9,6 @@ from cubic_lab.graphs import add_edges, build_graph, edge, induced_subgraph, par
 from cubic_lab.symmetry import (
     CANON_MAX_N,
     GROUP_MAX_N,
-    MODE_FULL,
-    MODE_STABILIZER,
     are_isomorphic,
     automorphism_group,
     canonical_form,
@@ -207,10 +205,10 @@ def _breadth_first_relabeling(g, rng):
 
 
 def _check_edge_orbits(g, perms):
-    assert edge_orbits(g, MODE_FULL).orbits == oracle_edge_orbits(g, perms), g
+    assert edge_orbits(g) == oracle_edge_orbits(g, perms), g
     for root in range(g.n):
         stab = [p for p in perms if p[root] == root]
-        got = edge_orbits(g, MODE_STABILIZER, root=root).orbits
+        got = edge_orbits(g, root=root)
         assert got == oracle_edge_orbits(g, stab), (g, root)
 
 
@@ -310,12 +308,7 @@ class TestEdgeOrbitsPastGroupCap:
 
     def _check_distinct(self, g):
         perms = self._check(g)
-        got = distinct_cycle_edges(g, MODE_FULL)
-        assert (got.count, got.representatives) == oracle_distinct_cycle_edges(g, perms), g
-        for root in range(g.n):
-            stab = [p for p in perms if p[root] == root]
-            got = distinct_cycle_edges(g, MODE_STABILIZER, root=root)
-            assert (got.count, got.representatives) == oracle_distinct_cycle_edges(g, stab), (g, root)
+        assert distinct_cycle_edges(g) == oracle_distinct_cycle_edges(g, perms), g
 
     def test_unions_of_key_alike_graphs(self):
         # 24 and 20 vertices, with breadth-first labelings for the
@@ -339,29 +332,29 @@ class TestEdgeOrbitsPastGroupCap:
 
     def test_past_canonical_cap_raises(self):
         big = build_graph(CANON_MAX_N + 2, [(0, 1)])
-        for mode, root in ((MODE_FULL, None), (MODE_STABILIZER, 0)):
+        for root in (None, 0):
             with pytest.raises(InputError):
-                edge_orbits(big, mode, root)
+                edge_orbits(big, root)
 
 
 class TestEdgeOrbits:
     def test_k4_single_orbit(self, k4):
-        orbits = edge_orbits(k4).orbits
+        orbits = edge_orbits(k4)
         assert len(orbits) == 1 and len(orbits[0]) == 6
 
     def test_diamond_two_orbits(self, diamond):
-        orbits = edge_orbits(diamond).orbits
+        orbits = edge_orbits(diamond)
         assert len(orbits) == 2
         assert (edge(1, 2),) in orbits  # the hub edge sits alone
 
     def test_path_stabilizer_splits(self, path3):
-        full = edge_orbits(path3, MODE_FULL).orbits
-        stab = edge_orbits(path3, MODE_STABILIZER, root=0).orbits
+        full = edge_orbits(path3)
+        stab = edge_orbits(path3, root=0)
         assert len(full) == 1 and len(stab) == 2
 
     def test_orbits_partition_edges(self, d8, petersen, dumbbell):
         for g in (d8, petersen, dumbbell):
-            orbits = edge_orbits(g).orbits
+            orbits = edge_orbits(g)
             flattened = [e for orbit in orbits for e in orbit]
             assert sorted(flattened) == sorted(g.edges())
             assert len(set(flattened)) == len(flattened)
@@ -370,7 +363,7 @@ class TestEdgeOrbits:
         # same orbit: exhibit a group element; different orbits: none exists
         for g in (d8, diamond, dumbbell):
             perms = automorphism_group(g)
-            orbits = edge_orbits(g).orbits
+            orbits = edge_orbits(g)
             index = {}
             for i, orbit in enumerate(orbits):
                 for e in orbit:
@@ -382,17 +375,16 @@ class TestEdgeOrbits:
 
     def test_stabilizer_refines_full(self, d8, petersen, dumbbell, prism):
         for g in (d8, petersen, dumbbell, prism):
-            full = edge_orbits(g, MODE_FULL).orbits
+            full = edge_orbits(g)
             for root in range(g.n):
-                stab = edge_orbits(g, MODE_STABILIZER, root=root).orbits
+                stab = edge_orbits(g, root=root)
                 for sub in stab:
                     assert any(set(sub) <= set(sup) for sup in full)
 
-    def test_stabilizer_needs_root(self, k4):
-        with pytest.raises(InputError):
-            edge_orbits(k4, MODE_STABILIZER)
-        with pytest.raises(InputError):
-            edge_orbits(k4, "bogus")
+    def test_root_out_of_range(self, k4):
+        for root in (k4.n, -1):
+            with pytest.raises(InputError, match="out of range"):
+                edge_orbits(k4, root=root)
 
 
 class TestStabilizerSearch:
@@ -420,9 +412,9 @@ class TestStabilizerSearch:
 
         monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
         with pytest.raises(InvariantError):
-            edge_orbits(path3, MODE_FULL)
+            edge_orbits(path3)
         with pytest.raises(InvariantError):
-            edge_orbits(path3, MODE_STABILIZER, root=2)
+            edge_orbits(path3, root=2)
 
     def test_generator_moving_the_root_raises(self, monkeypatch, path3):
         search = symmetry._search
@@ -432,26 +424,26 @@ class TestStabilizerSearch:
             return labeling, generators + [(2, 1, 0)]  # an automorphism
 
         monkeypatch.setattr(symmetry, "_search", with_root_moved)
-        assert len(edge_orbits(path3, MODE_FULL).orbits) == 1
+        assert len(edge_orbits(path3)) == 1
         with pytest.raises(InvariantError):
-            edge_orbits(path3, MODE_STABILIZER, root=0)
+            edge_orbits(path3, root=0)
 
 
 class TestDistinctCycleEdges:
     def test_k4(self, k4):
-        assert distinct_cycle_edges(k4).count == 1
+        assert distinct_cycle_edges(k4) == 1
 
     def test_diamond_both_orbits_cyclic(self, diamond):
-        got = distinct_cycle_edges(diamond)
-        assert got.count == 2
-        assert got.representatives == (edge(0, 1), edge(1, 2))
+        assert edge_orbits(diamond) == (
+            (edge(0, 1), edge(0, 2), edge(1, 3), edge(2, 3)),
+            (edge(1, 2),),
+        )
+        assert distinct_cycle_edges(diamond) == 2
 
     def test_dumbbell_drops_bridge_orbit(self, dumbbell):
         # group from the vertex-image backtracker; the bridge orbit is excluded
         perms = oracle_automorphism_group(dumbbell)
-        orbit_count = len(edge_orbits(dumbbell).orbits)
+        orbit_count = len(edge_orbits(dumbbell))
         assert automorphism_group(dumbbell) == tuple(sorted(perms))
-        got = distinct_cycle_edges(dumbbell)
-        assert got.count == orbit_count - 1
-        assert edge(4, 9) not in got.representatives
-        assert got.count == 3
+        assert (edge(4, 9),) in edge_orbits(dumbbell)
+        assert distinct_cycle_edges(dumbbell) == orbit_count - 1 == 3
