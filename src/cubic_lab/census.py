@@ -9,8 +9,16 @@ of p, q, r, s and join y to the other two. The three splits {pq|rs},
 set of canonical forms of the children of every class on n - 2 vertices.
 An automorphism of P maps the children of an edge pair onto those of the
 pair's image, so one pair per orbit under the automorphisms the canonical
-search records suffices. The set removes the remaining duplicates; there
-is no canonical-parent test.
+search records suffices.
+
+Most children are isomorphic to children of other parents or splits, and
+a canonical-parent filter rejects most of those before their canonical
+search. Call an edge reducible when it has the property of the lemma
+below. Each edge carries the labelling-independent invariant (4-cycles
+through it, 5-cycles through it), compared lexicographically. A child is
+kept only when no reducible edge other than its new edge xy has a
+strictly larger invariant than xy. The set of canonical forms removes the
+duplicates that pass.
 
 Every child is connected, simple and cubic: x and y are new, each of p, q,
 r, s trades one edge for another, and all four reach the adjacent x and y,
@@ -40,6 +48,18 @@ reached.
     among the ends, but it has only two besides x or y. Those three ends
     would then form a component without the fourth, a contradiction.
 
+The filter loses no class. By the lemma, C has reducible edges.
+Reducibility and the invariant are unchanged by isomorphisms, so C has a
+reducible edge e* = xy whose invariant no reducible edge of C exceeds.
+Reducing along e* with its matching M gives a graph P' and an isomorphism
+phi from P' to the class representative P of its level. The recorded
+automorphisms generate Aut(P) (``symmetry`` docstring), so some sigma in
+Aut(P) maps the disjoint pair phi(M) to the representative of its orbit.
+Of that pair's three splits, the one that joins the images of x's ends to
+one new vertex and those of y's ends to the other builds a child
+isomorphic to C, with the new edge mapped to e*. That child passes the
+filter, and its canonical form is C's.
+
 With ``jobs`` > 1, ``census_table`` opens one process pool for the whole
 run. Every worker receives the graph6 strings of the parent level and
 grows only the parents whose index is its own residue mod ``jobs``, so no
@@ -57,7 +77,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 from .connectivity import classify_connectivity, component_of, find_bridges
 from .errors import InputError, InvariantError
@@ -100,11 +120,70 @@ def max_enumeration_n() -> int:
 # generation
 # ---------------------------------------------------------------------------
 
+def _edge_invariant(adj: Sequence[set[int]], u: int, v: int) -> tuple[int, int]:
+    """(4-cycles, 5-cycles) through the edge uv. Only adjacency is read, so
+    the pair does not depend on the labelling."""
+    c4 = c5 = 0
+    for a in adj[u]:
+        if a == v:
+            continue
+        for b in adj[v]:
+            if b == u or b == a:
+                continue
+            if b in adj[a]:
+                c4 += 1
+            c5 += len(adj[a] & adj[b]) - (u in adj[b]) - (v in adj[a])
+    return c4, c5
+
+
+def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
+    """Whether the other ends a, b of x and c, d of y are four distinct
+    vertices with a perfect matching M of them that makes the graph minus
+    x and y plus M connected, simple and cubic (the lemma's reduction)."""
+    a, b = (w for w in adj[x] if w != y)
+    c, d = (w for w in adj[y] if w != x)
+    if len({a, b, c, d}) < 4:
+        return False
+    # the graph is connected, so every vertex of the graph minus x and y
+    # shares a component with an end; label each by the first end that
+    # reaches it (x and y are labelled first, so no search enters them)
+    comp = {x: x, y: y}
+    for end in (a, b, c, d):
+        if end in comp:
+            continue
+        comp[end] = end
+        stack = [end]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in comp:
+                    comp[w] = end
+                    stack.append(w)
+    # each end gains one edge for the one it loses, and M's two edges
+    # cover every component, so they join them all iff they share one
+    return any(
+        q not in adj[p] and s not in adj[r]
+        and not {comp[p], comp[q]}.isdisjoint((comp[r], comp[s]))
+        for (p, q), (r, s) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+    )
+
+
+def _passes_parent_filter(adj: Sequence[set[int]], x: int, y: int) -> bool:
+    """False when some reducible edge has a strictly larger
+    ``_edge_invariant`` than xy. Reducibility is checked only for edges
+    whose invariant beats xy's."""
+    own = _edge_invariant(adj, x, y)
+    return not any(
+        u < v and _edge_invariant(adj, u, v) > own and _reducible(adj, u, v)
+        for u, nbrs in enumerate(adj) for v in nbrs
+    )
+
+
 def _children(g: Graph) -> set[bytes]:
-    """Canonical graph6 forms of the edge insertions into g, one pair of
-    disjoint edges per orbit under the automorphisms ``_search`` records.
-    The searches run uncached: a labeled child is never looked up again,
-    and caching it would only evict ``canonical_form`` entries that are."""
+    """Canonical graph6 forms of the edge insertions into g that pass the
+    canonical-parent filter, one pair of disjoint edges per orbit under the
+    automorphisms ``_search`` records. The searches run uncached: a
+    labeled child is never looked up again, and caching it would only
+    evict ``canonical_form`` entries that are."""
     n = g.n
     pairs = [
         (e, f) for e, f in combinations(g.edges(), 2)
@@ -124,8 +203,14 @@ def _children(g: Graph) -> set[bytes]:
             continue
         base = add_vertices(remove_edges(g, [(p, q), (r, s)]), 2)
         for a, b, c, d in ((p, q, r, s), (p, r, q, s), (p, s, q, r)):
-            child = add_edges(base, [(n, n + 1), (n, a), (n, b), (n + 1, c), (n + 1, d)])
-            forms.add(_canonical_graph6(child, _search(child)[0]))
+            new = [(n, n + 1), (n, a), (n, b), (n + 1, c), (n + 1, d)]
+            adj = [set(nbrs) for nbrs in base.adj]
+            for u, w in new:
+                adj[u].add(w)
+                adj[w].add(u)
+            if _passes_parent_filter(adj, n, n + 1):
+                child = add_edges(base, new)
+                forms.add(_canonical_graph6(child, _search(child)[0]))
     return forms
 
 
@@ -271,11 +356,23 @@ def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
     )
 
 
-def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
+def even_sizes(n_min: int, n_max: int) -> list[int]:
+    """The even vertex counts in [n_min, n_max], for the commands that
+    sweep a range; a range without one is an input error, not an empty
+    table."""
     sizes = [n for n in range(n_min, n_max + 1) if n % 2 == 0]
+    if not sizes:
+        raise InputError(f"no even vertex count lies in [--n-min {n_min}, --n-max {n_max}]")
+    return sizes
+
+
+def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
+    if jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {jobs}")
+    sizes = even_sizes(n_min, n_max)
     for n in sizes:
         _check_enumeration_n(n)
-    if jobs <= 1 or not sizes:
+    if jobs == 1:
         return [_census_row(n, None, 1) for n in sizes]
     with _process_pool(jobs) as pool:
         return [_census_row(n, pool, jobs) for n in sizes]

@@ -21,6 +21,7 @@ from .census import (
     classify_graph,
     conjecture_probe,
     enumerate_cubic,
+    even_sizes,
     probe_csv,
 )
 from .connectivity import classify_connectivity
@@ -206,11 +207,7 @@ def _cmd_census(args) -> str:
 
 
 def _cmd_probe(args) -> str:
-    rows = [
-        conjecture_probe(n)
-        for n in range(args.n_min, args.n_max + 1)
-        if n % 2 == 0
-    ]
+    rows = [conjecture_probe(n) for n in even_sizes(args.n_min, args.n_max)]
     if args.format == "json":
         return _json([row.__dict__ for row in rows])
     return probe_csv(rows)
@@ -221,10 +218,7 @@ def _cmd_verify(args) -> str:
         graphs = _read_corpus(args.infile)
     else:
         graphs = [
-            g
-            for n in range(args.n_min, args.n_max + 1)
-            if n % 2 == 0
-            for g in enumerate_cubic(n)
+            g for n in even_sizes(args.n_min, args.n_max) for g in enumerate_cubic(n)
         ]
     reports = []
     hard_failures = 0

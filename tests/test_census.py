@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cubic_lab import census
@@ -20,9 +22,11 @@ from cubic_lab.errors import InputError
 from cubic_lab.graphs import (
     add_edges,
     build_graph,
+    edge,
     emit_graph6,
     is_connected,
     is_cubic,
+    relabel,
     remove_vertices,
 )
 from cubic_lab.hamilton import has_hamiltonian_cycle
@@ -114,6 +118,71 @@ class TestGeneration:
             for g in enumerate_cubic(n):
                 assert _insertion_reductions(g), emit_graph6(g)
 
+    def test_reducible_edges_match_oracle(self):
+        # the filter's reducibility test against the lemma's statement, and
+        # its accept/reject decision per edge against a seeded relabeling
+        rng = random.Random(2011)
+        levels = [enumerate_cubic(n) for n in range(6, 13, 2)]
+        # A002851, so a broken filter cannot shrink the corpus unseen
+        assert [len(level) for level in levels] == [2, 5, 19, 85]
+        for g in (g for level in levels for g in level):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            for graph in (g, h):
+                adj = [set(nbrs) for nbrs in graph.adj]
+                ours = {e for e in graph.edges() if census._reducible(adj, *e)}
+                oracle = {(x, y) for x, y, _ in _insertion_reductions(graph)}
+                assert ours == oracle, emit_graph6(graph)
+            adj_g = [set(nbrs) for nbrs in g.adj]
+            adj_h = [set(nbrs) for nbrs in h.adj]
+            for u, v in g.edges():
+                assert census._passes_parent_filter(adj_g, u, v) == (
+                    census._passes_parent_filter(adj_h, *edge(perm[u], perm[v]))
+                ), (emit_graph6(g), u, v)
+
+    def test_reducible_needs_a_connecting_matching(self):
+        # below 22 vertices some simple matching always reconnects; here
+        # the edge (0, 1) and its four neighbouring edges are all bridges,
+        # each end carrying a K4 with a subdivided edge
+        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
+        for i, end in enumerate((2, 3, 4, 5)):
+            w = 6 + 4 * i
+            edges += [(end, w), (end, w + 1), (w, w + 2), (w, w + 3),
+                      (w + 1, w + 2), (w + 1, w + 3), (w + 2, w + 3)]
+        g = build_graph(22, edges)
+        assert is_cubic(g) and is_connected(g)
+        adj = [set(nbrs) for nbrs in g.adj]
+        ours = {e for e in g.edges() if census._reducible(adj, *e)}
+        assert ours == {(x, y) for x, y, _ in _insertion_reductions(g)}
+        assert (0, 1) not in ours
+
+    def test_filter_prunes_child_searches(self, monkeypatch):
+        # the output is the same with or without the canonical-parent
+        # filter, so only these counts show that it still rejects children
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        searches, built = [0], [0]
+        search, passes = census._search, census._passes_parent_filter
+
+        def counting_search(g, root=None):
+            searches[0] += 1
+            return search(g, root)
+
+        def counting_passes(adj, x, y):
+            built[0] += 1
+            return passes(adj, x, y)
+
+        monkeypatch.setattr(census, "_search", counting_search)
+        monkeypatch.setattr(census, "_passes_parent_filter", counting_passes)
+        enumerate_cubic(12)
+        # one search per parent, the classes on 4 to 10 vertices
+        parents = sum(len(enumerate_cubic(n)) for n in range(4, 11, 2))
+        assert parents == 27
+        child_searches = searches[0] - parents
+        assert child_searches == 229
+        assert built[0] == 1176
+        assert 4 * child_searches < built[0]
+
     def test_levels_same_for_every_jobs_value(self, monkeypatch):
         results = []
         for jobs in (1, 2, 3):
@@ -152,6 +221,16 @@ class TestCensusTable:
 
     def test_jobs_parallel_same_result(self):
         assert census_table(4, 8, jobs=2) == census_table(4, 8, jobs=1)
+
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -2):
+            with pytest.raises(InputError, match=f"--jobs must be at least 1, got {jobs}"):
+                census_table(4, 6, jobs=jobs)
+
+    def test_range_without_even_n_rejected(self):
+        for n_min, n_max in ((8, 6), (5, 5)):
+            with pytest.raises(InputError, match="no even vertex count lies in"):
+                census_table(n_min, n_max)
 
     def test_csv_shape(self):
         text = census_csv(census_table(4, 6))

@@ -152,6 +152,19 @@ class TestCensusProbeVerify:
         assert doc["checked"] >= 1
         assert all(g["side_all_edges_on_cycles"] for g in doc["graphs"])
 
+    def test_census_jobs_below_one_exits_1(self, capsys):
+        code, out, err = run(capsys, "census", "--n-min", "4", "--n-max", "6", "--jobs", "0")
+        assert code == 1 and out == ""
+        assert "--jobs must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize("command", ["census", "probe", "verify-lemmas"])
+    def test_empty_range_exits_1(self, capsys, command):
+        code, out, err = run(capsys, command, "--n-min", "8", "--n-max", "6")
+        assert code == 1 and out == ""
+        assert "no even vertex count lies in [--n-min 8, --n-max 6]" in err
+        code, out, err = run(capsys, command, "--n-min", "5", "--n-max", "5")
+        assert code == 1 and out == ""
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "--in", "/nonexistent/file.g6")
         assert code == 1
