@@ -61,20 +61,20 @@ isomorphic to C, with the new edge mapped to e*. That child passes the
 filter, and its canonical form is C's.
 
 With ``jobs`` > 1, ``census_table`` opens one process pool for the whole
-run. Every worker receives the graph6 strings of the parent level and
-grows only the parents whose index is its own residue mod ``jobs``, so no
-worker repeats another's work, and the sorted union of their canonical
+run. The parents of each level are mapped over it one parent per task,
+as graph6 strings, and the sorted union of their children's canonical
 forms is the serial result. The same pool then classifies the graphs;
 aggregation is count-based and therefore independent of completion order.
 
 The evidence tables are the census rows (connectivity classes and
 Hamiltonicity counted per n) and the complete-tree probe
-(``conjecture_probe``).
+(``conjecture_probe``, ``probe_table``).
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import Optional, Sequence
@@ -83,14 +83,11 @@ from .connectivity import classify_connectivity, component_of, find_bridges
 from .errors import InputError, InvariantError
 from .graphs import (
     Graph,
-    add_edges,
-    add_vertices,
     bfs_distances,
     edge,
     emit_graph6,
     induced_subgraph,
     parse_graph6,
-    remove_edges,
 )
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .reduction import int_fifth_root, is_complete_tree, nearest_vertices
@@ -181,9 +178,10 @@ def _passes_parent_filter(adj: Sequence[set[int]], x: int, y: int) -> bool:
 def _children(g: Graph) -> set[bytes]:
     """Canonical graph6 forms of the edge insertions into g that pass the
     canonical-parent filter, one pair of disjoint edges per orbit under the
-    automorphisms ``_search`` records. The searches run uncached: a
-    labeled child is never looked up again, and caching it would only
-    evict ``canonical_form`` entries that are."""
+    automorphisms ``_search`` records. The filter reads adjacency sets, so
+    a ``Graph`` is built only for a child it accepts. The searches run
+    uncached: a labeled child is never looked up again, and caching it
+    would only evict ``canonical_form`` entries that are."""
     n = g.n
     pairs = [
         (e, f) for e, f in combinations(g.edges(), 2)
@@ -201,44 +199,59 @@ def _children(g: Graph) -> set[bytes]:
     for i, ((p, q), (r, s)) in enumerate(pairs):
         if roots[i] != i:
             continue
-        base = add_vertices(remove_edges(g, [(p, q), (r, s)]), 2)
+        # g less pq and rs; each split replaces only the sets it changes
+        base = [set(nbrs) for nbrs in g.adj]
+        for u, w in ((p, q), (r, s)):
+            base[u].discard(w)
+            base[w].discard(u)
         for a, b, c, d in ((p, q, r, s), (p, r, q, s), (p, s, q, r)):
-            new = [(n, n + 1), (n, a), (n, b), (n + 1, c), (n + 1, d)]
-            adj = [set(nbrs) for nbrs in base.adj]
-            for u, w in new:
-                adj[u].add(w)
-                adj[w].add(u)
+            adj = base + [{n + 1, a, b}, {n, c, d}]
+            for w, x in ((a, n), (b, n), (c, n + 1), (d, n + 1)):
+                adj[w] = base[w] | {x}
             if _passes_parent_filter(adj, n, n + 1):
-                child = add_edges(base, new)
+                child = Graph(n + 2, tuple(tuple(sorted(nbrs)) for nbrs in adj))
                 forms.add(_canonical_graph6(child, _search(child)[0]))
     return forms
 
 
-def _grow_share(parents: list[str], share: int, shares: int) -> set[bytes]:
-    """Canonical graph6 forms of the children of the parents whose index
-    is ``share`` mod ``shares``."""
-    return set().union(*(_children(parse_graph6(g6)) for g6 in parents[share::shares]))
+def _child_forms(g6: str) -> set[bytes]:
+    """``_children`` of one parent given as graph6; top-level so process
+    pools can ship it around."""
+    return _children(parse_graph6(g6))
+
+
+def _map(pool, fn, items: list, chunksize: int = 1) -> list:
+    """``fn`` over ``items`` in order, in the pool's workers, or in this
+    process when ``pool`` is None."""
+    if pool is None:
+        return [fn(item) for item in items]
+    return list(pool.map(fn, items, chunksize=chunksize))
+
+
+def _process_pool(jobs: int):
+    """A pool of ``jobs`` worker processes for ``_map``, or a context that
+    yields None (serial ``_map``) for one job."""
+    if jobs == 1:
+        return nullcontext()
+    # imported here: the pool module costs every CLI start-up ~20 ms
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs)
 
 
 _ENUMERATED: dict[int, tuple[Graph, ...]] = {}
 
 
-def _enumerate_cached(n: int, pool=None, jobs: int = 1) -> tuple[Graph, ...]:
+def _enumerate_cached(n: int, pool=None) -> tuple[Graph, ...]:
     """The classes of size n, computed once per process from those of size
-    n - 2. With a pool, each of ``jobs`` workers grows its own share of the
-    parents; the sorted union is the same."""
+    n - 2, one parent per ``_map`` task."""
     graphs = _ENUMERATED.get(n)
     if graphs is None:
         if n == 4:
             forms = {b"C~"}  # K4
         else:
-            parents = [emit_graph6(g) for g in _enumerate_cached(n - 2, pool, jobs)]
-            if pool is None:
-                forms = _grow_share(parents, 0, 1)
-            else:
-                forms = set().union(*pool.map(
-                    _grow_share, [parents] * jobs, range(jobs), [jobs] * jobs
-                ))
+            parents = [emit_graph6(g) for g in _enumerate_cached(n - 2, pool)]
+            forms = set().union(*_map(pool, _child_forms, parents))
         graphs = tuple(parse_graph6(form.decode("ascii")) for form in sorted(forms))
         _ENUMERATED[n] = graphs
     return graphs
@@ -303,24 +316,9 @@ def classify_graph6(g6: str) -> dict:
     return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
-def _classify_in(pool, g6s: list[str]) -> list[dict]:
-    if pool is None or len(g6s) < 4:
-        return [classify_graph6(s) for s in g6s]
-    return list(pool.map(classify_graph6, g6s, chunksize=16))
-
-
-def _process_pool(jobs: int):
-    # imported here: the pool module costs every CLI start-up ~20 ms
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs)
-
-
 def _classify_many(g6s: list[str], jobs: int) -> list[dict]:
-    if jobs <= 1 or len(g6s) < 4:
-        return _classify_in(None, g6s)
     with _process_pool(jobs) as pool:
-        return _classify_in(pool, g6s)
+        return _map(pool, classify_graph6, g6s, chunksize=16)
 
 
 def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
@@ -358,11 +356,14 @@ def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
 
 def even_sizes(n_min: int, n_max: int) -> list[int]:
     """The even vertex counts in [n_min, n_max], for the commands that
-    sweep a range; a range without one is an input error, not an empty
-    table."""
+    sweep a range. Each is checked against the enumeration bounds before
+    any is enumerated, and a range without one is an input error, not an
+    empty table."""
     sizes = [n for n in range(n_min, n_max + 1) if n % 2 == 0]
     if not sizes:
         raise InputError(f"no even vertex count lies in [--n-min {n_min}, --n-max {n_max}]")
+    for n in sizes:
+        _check_enumeration_n(n)
     return sizes
 
 
@@ -370,17 +371,13 @@ def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     sizes = even_sizes(n_min, n_max)
-    for n in sizes:
-        _check_enumeration_n(n)
-    if jobs == 1:
-        return [_census_row(n, None, 1) for n in sizes]
     with _process_pool(jobs) as pool:
-        return [_census_row(n, pool, jobs) for n in sizes]
+        return [_census_row(n, pool) for n in sizes]
 
 
-def _census_row(n: int, pool, jobs: int) -> CensusRow:
-    g6s = [emit_graph6(g) for g in _enumerate_cached(n, pool, jobs)]
-    return _row_from_facts(n, _classify_in(pool, g6s))
+def _census_row(n: int, pool) -> CensusRow:
+    g6s = [emit_graph6(g) for g in _enumerate_cached(n, pool)]
+    return _row_from_facts(n, _map(pool, classify_graph6, g6s, chunksize=16))
 
 
 def census_csv(rows: list[CensusRow]) -> str:
@@ -462,6 +459,20 @@ def conjecture_probe(n: int) -> ConjectureProbeRow:
             lhs += 1
     rhs = sum(1 for g in enumerate_cubic(n) if find_bridges(g))
     return ConjectureProbeRow(n, lhs, rhs, lhs <= rhs)
+
+
+def probe_table(n_min: int, n_max: int) -> list[ConjectureProbeRow]:
+    """``conjecture_probe`` for each even n in [n_min, n_max]. Row n also
+    enumerates n + 2, so the largest such count is checked up front too."""
+    sizes = even_sizes(n_min, n_max)
+    top = sizes[-1]
+    try:
+        _check_enumeration_n(top + 2)
+    except InputError as exc:
+        raise InputError(
+            f"the probe row for n = {top} needs the graphs on n + 2 = {top + 2} vertices: {exc}"
+        ) from None
+    return [conjecture_probe(n) for n in sizes]
 
 
 def probe_csv(rows: list[ConjectureProbeRow]) -> str:

@@ -19,10 +19,10 @@ from .census import (
     census_json,
     census_table,
     classify_graph,
-    conjecture_probe,
     enumerate_cubic,
     even_sizes,
     probe_csv,
+    probe_table,
 )
 from .connectivity import classify_connectivity
 from .construction import (
@@ -207,7 +207,7 @@ def _cmd_census(args) -> str:
 
 
 def _cmd_probe(args) -> str:
-    rows = [conjecture_probe(n) for n in even_sizes(args.n_min, args.n_max)]
+    rows = probe_table(args.n_min, args.n_max)
     if args.format == "json":
         return _json([row.__dict__ for row in rows])
     return probe_csv(rows)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Optional
 
 from .connectivity import BiBridge, classify_connectivity, find_bridges, most_balanced_bibridge
 from .errors import InputError, InvariantError
@@ -239,18 +240,27 @@ def _insertion_pairings(rec: ConstructionRecord, cut: Edge) -> tuple[_Pairing, .
     return tuple(pairings)
 
 
+def _refusal(rec: ConstructionRecord, e: Edge) -> Optional[str]:
+    """Why ``cycle_insertion`` refuses the edge e, or None when it accepts
+    it: e must be a cycle edge of the active side that avoids the open
+    nodes and has a simple pairing."""
+    if not (e.u in rec.active_side and e.v in rec.active_side
+            and rec.augmented.has_edge(e.u, e.v)):
+        return "is not an edge of the active side"
+    if e.u in rec.open_nodes or e.v in rec.open_nodes:
+        return "touches an open node"
+    _, remap, side_bridges = rec._side_with_bridges
+    if edge(remap[e.u], remap[e.v]) in side_bridges:
+        return "is not on a cycle of the active side"
+    if not _insertion_pairings(rec, e):
+        return "cannot be joined to the open nodes without duplicating an edge"
+    return None
+
+
 def insertable_edges(rec: ConstructionRecord) -> tuple[Edge, ...]:
     """The edges ``cycle_insertion`` accepts, in the augmented graph's ids
-    and sorted: cycle edges of the active side that avoid the open nodes
-    and have a simple pairing."""
-    _, remap, side_bridges = rec._side_with_bridges
-    return tuple(
-        e for e in rec.augmented.edges()
-        if e.u in remap and e.v in remap
-        and e.u not in rec.open_nodes and e.v not in rec.open_nodes
-        and edge(remap[e.u], remap[e.v]) not in side_bridges
-        and _insertion_pairings(rec, e)
-    )
+    and sorted."""
+    return tuple(e for e in rec.augmented.edges() if _refusal(rec, e) is None)
 
 
 class _BridgeMismatch(InvariantError):
@@ -280,21 +290,11 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     two open nodes, yielding a connected cubic graph with the same single
     bridge."""
     e = edge(e[0], e[1])
-    g = rec.augmented
-    if not (e.u in rec.active_side and e.v in rec.active_side and g.has_edge(e.u, e.v)):
-        raise InputError(f"{tuple(e)} is not an edge of the active side")
-    open1, open2 = rec.open_nodes
-    if e.u in (open1, open2) or e.v in (open1, open2):
-        raise InputError(f"{tuple(e)} touches an open node")
-    _, remap, side_bridges = rec._side_with_bridges
-    if edge(remap[e.u], remap[e.v]) in side_bridges:
-        raise InputError(f"{tuple(e)} is not on a cycle of the active side")
+    reason = _refusal(rec, e)
+    if reason is not None:
+        raise InputError(f"{tuple(e)} {reason}")
     pairings = _insertion_pairings(rec, e)
-    if not pairings:
-        raise InputError(
-            f"{tuple(e)} cannot be joined to the open nodes without duplicating an edge"
-        )
-    reduced = remove_edges(g, [e])
+    reduced = remove_edges(rec.augmented, [e])
     if len(pairings) == 2:
         result = add_edges(reduced, list(pairings[0]))
         try:

@@ -289,18 +289,18 @@ def stage_diamond_removal(
     g: Graph,
     diamond: tuple[int, int, int, int],
     *,
-    keep_within: Optional[frozenset[int]] = None,
+    keep_within: frozenset[int],
 ) -> tuple[Graph, dict[int, int], int, int, list[Edge]]:
     """Remove a diamond (two triangles sharing an edge), patch the two loose
     ends with a new vertex, and hang a second, still-deficient vertex off it.
 
     Returns (staged graph, survivor remap, patch vertex, second vertex, and
     the cycle edges eligible for the finishing insertion, in canonical
-    order). ``keep_within`` restricts eligible edges to a vertex set (the
-    working side, when called from a state); they never touch either new
-    vertex. The two edges leaving the diamond must reach two different
-    vertices; a shared target is reported as a contradiction with the host
-    being bridgeless there.
+    order). Eligible edges join two survivors of the vertex set
+    ``keep_within`` (the working side of a state), so they never touch
+    either new vertex. The two edges leaving the diamond must reach two
+    different vertices; a shared target is reported as a contradiction
+    with the host being bridgeless there.
     """
     quad = tuple(sorted(set(diamond)))
     if len(quad) != 4:
@@ -331,17 +331,11 @@ def stage_diamond_removal(
     )
     if not is_connected(staged):
         raise InvariantError("patching the diamond left the graph disconnected")
-    pool_vertices = (
-        set(remap.values()) if keep_within is None
-        else {remap[v] for v in keep_within if v in remap}
-    )
-    pool_vertices.add(patch)
+    kept = {remap[v] for v in keep_within if v in remap}
     bridges = set(find_bridges(staged))
     pool = sorted(
         e for e in staged.edges()
-        if e not in bridges
-        and patch not in e and second not in e
-        and e.u in pool_vertices and e.v in pool_vertices
+        if e not in bridges and e.u in kept and e.v in kept
     )
     if not pool:
         raise InputError("no cycle edge available for the finishing insertion")

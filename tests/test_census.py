@@ -20,6 +20,7 @@ from cubic_lab.census import (
 from cubic_lab.connectivity import find_bridges
 from cubic_lab.errors import InputError
 from cubic_lab.graphs import (
+    Graph,
     add_edges,
     build_graph,
     edge,
@@ -182,6 +183,24 @@ class TestGeneration:
         assert child_searches == 229
         assert built[0] == 1176
         assert 4 * child_searches < built[0]
+
+    def test_graphs_built_only_for_accepted_children(self, monkeypatch):
+        # the filter reads adjacency sets, so a rejected child costs no
+        # validated Graph (1 381 constructions when every split built one)
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        built = [0]
+        post_init = Graph.__post_init__
+
+        def counting_post_init(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        enumerate_cubic(12)
+        # 112 classes parsed into the levels 4 to 12, 27 parents parsed
+        # for their children, and per accepted child (229, see above) the
+        # child and its canonical relabeling
+        assert built[0] == 112 + 27 + 2 * 229 == 597
 
     def test_levels_same_for_every_jobs_value(self, monkeypatch):
         results = []

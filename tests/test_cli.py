@@ -165,6 +165,24 @@ class TestCensusProbeVerify:
         code, out, err = run(capsys, command, "--n-min", "5", "--n-max", "5")
         assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("command, n_max, message", [
+        ("census", "10", "n must lie in [4, 8], got 10"),
+        ("verify-lemmas", "10", "n must lie in [4, 8], got 10"),
+        ("probe", "8", "the probe row for n = 8 needs the graphs on n + 2 = 10 vertices: "
+                       "n must lie in [4, 8], got 10"),
+    ])
+    def test_count_past_the_cap_exits_1_before_enumerating(
+        self, capsys, monkeypatch, command, n_max, message
+    ):
+        from cubic_lab import census
+
+        monkeypatch.setenv("CUBIC_LAB_MAX_N", "8")
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        code, out, err = run(capsys, command, "--n-min", "4", "--n-max", n_max)
+        assert code == 1 and out == ""
+        assert message in err
+        assert census._ENUMERATED == {}
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run(capsys, "construct", "--in", "/nonexistent/file.g6")
         assert code == 1

@@ -205,6 +205,15 @@ class TestCycleInsertion:
                 assert after.dist[v] <= rec.profile.dist[v]
 
 
+# the four conditions of an insertable edge, as cycle_insertion words them
+REFUSALS = (
+    "is not an edge of the active side",
+    "touches an open node",
+    "is not on a cycle of the active side",
+    "cannot be joined to the open nodes without duplicating an edge",
+)
+
+
 class TestInsertableEdges:
     def test_exactly_the_edges_cycle_insertion_accepts(self, d8, diamond_ring):
         for g in (d8, diamond_ring):
@@ -215,8 +224,9 @@ class TestInsertableEdges:
                 if e in insertable:
                     assert is_cubic(cycle_insertion(rec, e))
                 else:
-                    with pytest.raises(InputError):
+                    with pytest.raises(InputError) as refused:
                         cycle_insertion(rec, e)
+                    assert str(refused.value) in {f"{tuple(e)} {why}" for why in REFUSALS}
 
     def test_least_is_the_first_insert_member(self):
         # the 168 biconnected classes with n <= 14 and one seeded

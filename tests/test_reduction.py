@@ -272,7 +272,9 @@ class TestContractTriangle:
 class TestSpliceAdjacentTriangles:
     def test_dumbbell_diamond_shared_exit_rejected(self, dumbbell):
         with pytest.raises(InputError, match="bridge"):
-            stage_diamond_removal(dumbbell, (0, 1, 2, 3))
+            stage_diamond_removal(
+                dumbbell, (0, 1, 2, 3), keep_within=frozenset(range(dumbbell.n))
+            )
 
     def test_valid_diamond_shrinks_by_two(self):
         g, root, side, bridge = diamond_stalk()
@@ -287,7 +289,8 @@ class TestSpliceAdjacentTriangles:
 
     def test_not_a_diamond(self, k4):
         with pytest.raises(InputError, match="diamond"):
-            stage_diamond_removal(k4, (0, 1, 2, 3))  # induces 6 edges
+            # induces 6 edges
+            stage_diamond_removal(k4, (0, 1, 2, 3), keep_within=frozenset(range(4)))
 
 
 class TestExciseHorizontalPair:
