@@ -316,11 +316,6 @@ def classify_graph6(g6: str) -> dict:
     return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
-def _classify_many(g6s: list[str], jobs: int) -> list[dict]:
-    with _process_pool(jobs) as pool:
-        return _map(pool, classify_graph6, g6s, chunksize=16)
-
-
 def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
     total = len(facts)
     ham = sum(1 for f in facts if f["is_hamiltonian"])

@@ -13,18 +13,30 @@ it, and applies the matching two-vertex removal:
                         reconnect their hanging neighbors
   complete tree      -> no removal applies; the state is reported instead
 
-A complete tree is one rule, ``is_complete_tree``, shared with the census
-probe: a tree rooted at the root, two children under every internal vertex
-and every leaf at one depth (a single vertex counts). A region with no
-triangle and no horizontal edge that is not one (a cycle through two
-parents of one vertex, say) matches no case, and ``classify_region``
-raises InputError naming the graph and the region, as the surgeries
-refuse the configurations they cannot handle.
+Each case's precondition is stated once, in ``_refusal``.
+``classify_region`` tries the region's triangles, then its diamonds, then
+its edges, each sorted by vertex tuple, and takes the first candidate
+``_refusal`` accepts.
+
+Falling through a refused candidate follows the paper's case analysis,
+which is an existence argument: each case is a configuration that, when
+present, admits a removal keeping the graph cubic, bridged and no deeper,
+and a region is a complete tree only when no case is present. A candidate
+that fails its precondition is not an instance of its case (a triangle
+through the root would delete the root; a shared outside neighbor or end
+neighbor would make a parallel edge), so the analysis moves on to the
+next candidate. A region where none applies must be a complete tree, the
+one rule ``is_complete_tree`` shared with the census probe: a tree rooted
+at the root, two children under every internal vertex and every leaf at
+one depth (a single vertex counts). Otherwise ``classify_region`` raises
+one InputError, "admits no reduction case and is not a complete tree",
+naming the graph and the region.
 
 Each step must leave the graph connected, cubic, and bridge, exactly two
 vertices smaller, with no surviving side vertex farther from the root than
-before. Violations raise InvariantError with the broken constraint named;
-misclassification is never silent.
+before. Violations raise InvariantError with the broken constraint named,
+as does a ``reduce_*`` step handed a case ``_refusal`` rejects: that is a
+classifier bug, never silent.
 
 Region selection mirrors the census work this supports: with k distinct
 cycle edges on the side, the floor of the fifth root of k vertices nearest
@@ -212,80 +224,96 @@ def _triangles(sub: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
-def classify_region(graph: Graph, region: frozenset[int], profile: DistanceProfile) -> RegionCase:
-    """Route a region to its reduction case, in fixed priority order. A
-    region that matches none (module docstring) raises InputError."""
+def _outside_neighbors(g: Graph, verts: Iterable[int]) -> list[int]:
+    """The far end of every edge leaving ``verts``, by ascending inside end."""
+    inside = set(verts)
+    return [w for v in sorted(inside) for w in g.adj[v] if w not in inside]
+
+
+def _refusal(st: ReducibleState, case: RegionCase) -> Optional[str]:
+    """Why ``case`` does not apply to the state, or None when it does. This
+    is each case's precondition, stated once: a triangle (3 edges) or a
+    diamond (5 edges) on the working side, avoiding the root, whose outside
+    edges reach distinct vertices; or an edge of the side with both ends at
+    one depth, no shared neighbor, and neither end's other two neighbors
+    adjacent."""
+    g = st.graph
+    if isinstance(case, HorizontalEdge):
+        u, v = case.edge
+        if not (u in st.side and v in st.side and g.has_edge(u, v)):
+            return "is not an edge of the working side"
+        du, dv = st.profile.dist[u], st.profile.dist[v]
+        if du != dv:
+            return f"joins depths {du} and {dv}, not equal distances from the root"
+        shared = set(g.adj[u]) & set(g.adj[v])
+        if shared:
+            return f"has ends that share neighbor(s) {sorted(shared)}"
+        for a, b in ((u, v), (v, u)):
+            rest = [w for w in g.adj[a] if w != b]
+            if g.has_edge(*rest):
+                return f"has an end {a} whose other neighbors {rest} are already adjacent"
+        return None
+    if isinstance(case, IsolatedTriangle):
+        verts, shape, size = set(case.triangle), "triangle", (3, 3)
+    else:
+        verts, shape, size = set(case.diamond), "diamond", (4, 5)
+    if not verts <= st.side:
+        return "does not lie on the working side"
+    if st.root in verts:
+        return "passes through the root"
+    if (len(verts), induced_subgraph(g, verts)[0].m) != size:
+        return f"is not a {shape} ({size[1]} edges on {size[0]} vertices)"
+    exits = _outside_neighbors(g, verts)
+    if len(set(exits)) != len(exits):
+        return "has outside edges that share an end"
+    return None
+
+
+def classify_region(st: ReducibleState, region: frozenset[int]) -> RegionCase:
+    """The first case that applies to the region, trying triangles, then
+    diamonds, then edges, each sorted by vertex tuple; a region where none
+    applies must be a complete tree rooted at the root, or InputError."""
     if not region:
         raise InputError("cannot classify an empty region")
-    sub, remap = induced_subgraph(graph, region)
+    sub, remap = induced_subgraph(st.graph, region)
     inverse = {new: old for old, new in remap.items()}
-    tris = _triangles(sub)
-    if tris:
-        shared = [
-            t for t in tris
-            if any(len(set(t) & set(o)) == 2 for o in tris if o != t)
-        ]
-        isolated = [t for t in tris if t not in shared]
-        if isolated:
-            best = min(tuple(sorted(inverse[v] for v in t)) for t in isolated)
-            return IsolatedTriangle(best)
-        diamonds = []
-        for i, t in enumerate(tris):
-            for o in tris[i + 1:]:
-                if len(set(t) & set(o)) == 2:
-                    diamonds.append(tuple(sorted(inverse[v] for v in set(t) | set(o))))
-        return AdjacentTriangles(min(diamonds))
-    level_edges = [
-        edge(inverse[u], inverse[w])
-        for u, w in sub.edges()
-        if profile.dist[inverse[u]] == profile.dist[inverse[w]]
-    ]
-    if level_edges:
-        return HorizontalEdge(min(level_edges))
-    if profile.root not in region or not is_complete_tree(sub, remap[profile.root]):
+    tris = sorted(tuple(sorted(inverse[v] for v in t)) for t in _triangles(sub))
+    diamonds = sorted({
+        tuple(sorted(set(t) | set(o)))
+        for i, t in enumerate(tris) for o in tris[i + 1:]
+        if len(set(t) & set(o)) == 2
+    })
+    candidates = (
+        [IsolatedTriangle(t) for t in tris]
+        + [AdjacentTriangles(d) for d in diamonds]
+        + [HorizontalEdge(e) for e in sorted(edge(inverse[u], inverse[w]) for u, w in sub.edges())]
+    )
+    for case in candidates:
+        if _refusal(st, case) is None:
+            return case
+    if st.root not in region or not is_complete_tree(sub, remap[st.root]):
         raise InputError(
-            f"region {sorted(region)} of {emit_graph6(graph)} has no triangle and "
-            f"no horizontal edge but is not a complete tree rooted at {profile.root}"
+            f"region {sorted(region)} of {emit_graph6(st.graph)} admits no reduction "
+            f"case and is not a complete tree rooted at {st.root}"
         )
     return CompleteTree()
 
 
 # ---------------------------------------------------------------------------
-# the three structural two-vertex removals
+# the three structural two-vertex removals, on cases ``_refusal`` accepts
 # ---------------------------------------------------------------------------
 
-def contract_triangle(g: Graph, triangle: tuple[int, int, int]) -> tuple[Graph, dict[int, int], int]:
+def _contract_triangle(g: Graph, triangle: tuple[int, int, int]) -> tuple[Graph, dict[int, int], int]:
     """Replace a triangle by one vertex joined to the three outside
-    neighbors. Returns (graph, survivor remap, new vertex id).
-
-    The three outside neighbors must be distinct; a shared neighbor means the
-    triangle was not isolated (it sits in a diamond) and is reported as a
-    misclassification instead of silently producing a parallel edge.
-    """
-    tri = tuple(sorted(set(triangle)))
-    if len(tri) != 3:
-        raise InputError(f"{triangle} is not a triangle (needs 3 distinct vertices)")
-    a, b, c = tri
-    if not (g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c)):
-        raise InputError(f"{tri} is not a triangle (missing an edge)")
-    externals = []
-    for v in tri:
-        outside = [w for w in g.adj[v] if w not in tri]
-        if len(outside) != 1:
-            raise InputError(f"triangle vertex {v} does not have exactly one outside neighbor")
-        externals.append(outside[0])
-    if len(set(externals)) != 3:
-        raise InputError(
-            f"triangle {tri} shares an outside neighbor (adjacent-triangle "
-            "configuration, not an isolated one)"
-        )
-    shrunk, remap = remove_vertices(g, tri)
+    neighbors. Returns (graph, survivor remap, new vertex id)."""
+    externals = _outside_neighbors(g, triangle)
+    shrunk, remap = remove_vertices(g, triangle)
     hub = shrunk.n
     result = add_edges(add_vertices(shrunk, 1), [(hub, remap[x]) for x in externals])
     return result, remap, hub
 
 
-def stage_diamond_removal(
+def _stage_diamond_removal(
     g: Graph,
     diamond: tuple[int, int, int, int],
     *,
@@ -298,31 +326,10 @@ def stage_diamond_removal(
     the cycle edges eligible for the finishing insertion, in canonical
     order). Eligible edges join two survivors of the vertex set
     ``keep_within`` (the working side of a state), so they never touch
-    either new vertex. The two edges leaving the diamond must reach two
-    different vertices; a shared target is reported as a contradiction
-    with the host being bridgeless there.
+    either new vertex.
     """
-    quad = tuple(sorted(set(diamond)))
-    if len(quad) != 4:
-        raise InputError(f"{diamond} is not a diamond (needs 4 distinct vertices)")
-    sub, _ = induced_subgraph(g, quad)
-    if sub.m != 5:
-        raise InputError(f"{quad} does not induce a diamond (5 edges), found {sub.m}")
-    tips = [v for v in quad if len([w for w in g.adj[v] if w in quad]) == 2]
-    if len(tips) != 2:
-        raise InputError(f"{quad} does not have exactly two degree-2-inside tips")
-    externals = []
-    for v in tips:
-        outside = [w for w in g.adj[v] if w not in quad]
-        if len(outside) != 1:
-            raise InputError(f"diamond tip {v} does not have exactly one outside edge")
-        externals.append(outside[0])
-    if externals[0] == externals[1]:
-        raise InputError(
-            f"both edges leaving diamond {quad} meet vertex {externals[0]}; its "
-            "third edge would be a bridge, contradicting a bridgeless side"
-        )
-    shrunk, remap = remove_vertices(g, quad)
+    externals = _outside_neighbors(g, diamond)
+    shrunk, remap = remove_vertices(g, diamond)
     patch = shrunk.n
     second = shrunk.n + 1
     staged = add_edges(
@@ -342,7 +349,7 @@ def stage_diamond_removal(
     return staged, remap, patch, second, pool
 
 
-def finish_diamond_splice(staged: Graph, second: int, consumed: Edge) -> Graph:
+def _finish_diamond_splice(staged: Graph, second: int, consumed: Edge) -> Graph:
     """Complete the splice: delete the chosen cycle edge and feed both of
     its endpoints to the still-deficient second vertex."""
     return add_edges(
@@ -351,37 +358,12 @@ def finish_diamond_splice(staged: Graph, second: int, consumed: Edge) -> Graph:
     )
 
 
-def excise_horizontal_pair(g: Graph, level_edge: Edge) -> tuple[Graph, dict[int, int]]:
+def _excise_horizontal_pair(g: Graph, level_edge: Edge) -> tuple[Graph, dict[int, int]]:
     """Delete both endpoints of an edge and rejoin each endpoint's two other
-    neighbors to each other. Returns (graph, survivor remap).
-
-    Structural requirements (each failure names the simplicity constraint it
-    would break): the endpoints share no neighbor, and neither endpoint's two
-    other neighbors are already adjacent.
-    """
+    neighbors to each other. Returns (graph, survivor remap)."""
     u, v = level_edge
-    if not g.has_edge(u, v):
-        raise InputError(f"({u},{v}) is not an edge")
-    if g.degree(u) != 3 or g.degree(v) != 3:
-        raise InputError("both endpoints must be cubic")
-    shared = set(g.adj[u]) & set(g.adj[v])
-    if shared:
-        raise InputError(
-            f"endpoints {u},{v} share neighbor(s) {sorted(shared)}: a triangle, "
-            "so this is not a triangle-free configuration"
-        )
     rest_u = [w for w in g.adj[u] if w != v]
     rest_v = [w for w in g.adj[v] if w != u]
-    if g.has_edge(rest_u[0], rest_u[1]):
-        raise InputError(
-            f"the other neighbors {rest_u} of {u} are already adjacent; rejoining "
-            "them would duplicate an edge"
-        )
-    if g.has_edge(rest_v[0], rest_v[1]):
-        raise InputError(
-            f"the other neighbors {rest_v} of {v} are already adjacent; rejoining "
-            "them would duplicate an edge"
-        )
     shrunk, remap = remove_vertices(g, (u, v))
     result = add_edges(shrunk, [
         (remap[rest_u[0]], remap[rest_u[1]]),
@@ -431,24 +413,24 @@ def _next_state(
     return nxt
 
 
+def _require(st: ReducibleState, case: RegionCase) -> None:
+    """A step only runs a case the classifier accepts, so a refused one is a
+    classifier bug."""
+    reason = _refusal(st, case)
+    if reason is not None:
+        raise InvariantError(f"{case} {reason}")
+
+
 def reduce_isolated_triangle(st: ReducibleState, case: IsolatedTriangle) -> ReducibleState:
-    tri = case.triangle
-    if not set(tri) <= st.side:
-        raise InputError("triangle must lie on the working side")
-    if st.root in tri:
-        raise InputError("refusing to contract a triangle through the root")
-    result, remap, hub = contract_triangle(st.graph, tri)
+    _require(st, case)
+    result, remap, hub = _contract_triangle(st.graph, case.triangle)
     return _next_state(st, result, remap, (hub,))
 
 
 def reduce_adjacent_triangles(st: ReducibleState, case: AdjacentTriangles) -> ReducibleState:
-    quad = case.diamond
-    if not set(quad) <= st.side:
-        raise InputError("diamond must lie on the working side")
-    if st.root in quad:
-        raise InputError("refusing to excise a diamond through the root")
-    staged, remap, patch, second, pool = stage_diamond_removal(
-        st.graph, quad, keep_within=st.side
+    _require(st, case)
+    staged, remap, patch, second, pool = _stage_diamond_removal(
+        st.graph, case.diamond, keep_within=st.side
     )
     # an arbitrary cycle edge may carry shortest paths whose loss pushes a
     # vertex deeper; take the first candidate (canonical order) that keeps
@@ -456,7 +438,7 @@ def reduce_adjacent_triangles(st: ReducibleState, case: AdjacentTriangles) -> Re
     new_root = remap[st.root]
     new_side = {remap[v] for v in st.side if v in remap} | {patch, second}
     for consumed in pool:
-        result = finish_diamond_splice(staged, second, consumed)
+        result = _finish_diamond_splice(staged, second, consumed)
         after = bfs_distances(result, new_root, within=new_side)
         ok = all(
             after.dist[remap[v]] is not None
@@ -471,16 +453,8 @@ def reduce_adjacent_triangles(st: ReducibleState, case: AdjacentTriangles) -> Re
 
 
 def reduce_horizontal_edge(st: ReducibleState, case: HorizontalEdge) -> ReducibleState:
-    u, v = case.edge
-    if u not in st.side or v not in st.side:
-        raise InputError("horizontal edge must lie on the working side")
-    du, dv = st.profile.dist[u], st.profile.dist[v]
-    if du != dv:
-        raise InputError(
-            f"edge ({u},{v}) joins depths {du} and {dv}; a horizontal edge needs "
-            "equal distance from the root"
-        )
-    result, remap = excise_horizontal_pair(st.graph, case.edge)
+    _require(st, case)
+    result, remap = _excise_horizontal_pair(st.graph, case.edge)
     return _next_state(st, result, remap, ())
 
 
@@ -539,7 +513,7 @@ def reduce_step(st: ReducibleState) -> tuple[Optional[ReducibleState], RegionCas
     """One select-classify-reduce pass. Returns (next state or None when the
     region is a complete tree, the case, the region)."""
     region = nearest_region(st)
-    case = classify_region(st.graph, region, st.profile)
+    case = classify_region(st, region)
     if isinstance(case, CompleteTree):
         return None, case, region
     if isinstance(case, IsolatedTriangle):

@@ -1,5 +1,6 @@
 """Brute-force oracles, kept deliberately independent of the library's
-algorithms: edge/pair deletion for cuts, permutation scans for isomorphism
+algorithms: edge/pair deletion for cuts, perfect matchings with a connected
+complement for Hamiltonicity, permutation scans for isomorphism
 and automorphisms, exhaustive labeled generation, a second (orderly,
 canonical-matrix) generator for cross-checking the enumerator, the
 unpruned canonical-form search with its vertex keys, the vertex-image
@@ -34,6 +35,28 @@ def _connected_after(g: Graph, banned_edges: set, banned_vertices: set = frozens
 
 def oracle_bridges(g: Graph) -> set:
     return {e for e in g.edges() if not _connected_after(g, {e})}
+
+
+def oracle_is_hamiltonian(g: Graph) -> bool:
+    """Hamiltonicity of a cubic graph by perfect matchings: the complement
+    of a perfect matching is a 2-factor, and a connected 2-factor is a
+    Hamiltonian cycle. Matchings are built by pairing the least unmatched
+    vertex with each unmatched neighbor in turn."""
+    mate: list = [None] * g.n
+
+    def extend() -> bool:
+        free = next((v for v in range(g.n) if mate[v] is None), None)
+        if free is None:
+            return _connected_after(g, {edge(v, mate[v]) for v in range(g.n)})
+        for w in g.adj[free]:
+            if mate[w] is None:
+                mate[free], mate[w] = w, free
+                if extend():
+                    return True
+                mate[free] = mate[w] = None
+        return False
+
+    return g.n > 0 and extend()
 
 
 def _component_count(g: Graph, banned_edges: set) -> int:

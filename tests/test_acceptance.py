@@ -9,11 +9,7 @@ properties, reduction accounting, probe rows, and byte determinism.
 import time
 from pathlib import Path
 
-from cubic_lab.census import (
-    _classify_many,
-    conjecture_probe,
-    enumerate_cubic,
-)
+from cubic_lab.census import classify_graph, conjecture_probe, enumerate_cubic
 from cubic_lab.cli import main as cli_main
 from cubic_lab.connectivity import classify_connectivity, find_bridges
 from cubic_lab.construction import (
@@ -28,13 +24,16 @@ from cubic_lab.graphs import emit_graph6, is_connected, is_cubic
 from cubic_lab.reduction import OUTCOME_COMPLETE_TREE, OUTCOME_GRAPH, reduce_to_n
 from cubic_lab.symmetry import canonical_form
 
-from oracles import labeled_connected_cubic, orderly_connected_cubic
+from oracles import (
+    labeled_connected_cubic,
+    oracle_bridges,
+    oracle_is_hamiltonian,
+    orderly_connected_cubic,
+)
 
 # collision waivers for criterion 5: (source graph6, member index pair);
 # empty means any within-family isomorphism collision fails the suite
 COLLISION_WAIVER: frozenset = frozenset()
-
-JOBS = 4
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:
@@ -70,21 +69,32 @@ def test_criterion_1_enumeration_oracle():
 
 
 def test_criterion_2_bridge_graphs_never_hamiltonian():
+    # the matching oracle searches every class, bridge graphs included,
+    # where ``classify_graph`` answers a bridge graph without searching
     t0 = time.monotonic()
     exceptions = []
+    disagreements = []
+    non_ham = {}
     total_bridge = 0
     for n in range(4, 15, 2):
-        g6s = [emit_graph6(g) for g in enumerate_cubic(n)]
-        for facts in _classify_many(g6s, JOBS):
-            if facts["bridge_count"] >= 1:
+        non_ham[n] = 0
+        for g in enumerate_cubic(n):
+            ham = oracle_is_hamiltonian(g)
+            non_ham[n] += not ham
+            if ham != classify_graph(g)["is_hamiltonian"]:
+                disagreements.append(emit_graph6(g))
+            if oracle_bridges(g):
                 total_bridge += 1
-                if facts["is_hamiltonian"]:
-                    exceptions.append(facts["graph6"])
+                if ham:
+                    exceptions.append(emit_graph6(g))
     elapsed = time.monotonic() - t0
-    ok = not exceptions and elapsed < 600.0 and total_bridge >= 1
+    # OEIS A164919: connected cubic non-Hamiltonian graphs
+    ok = (not exceptions and not disagreements and elapsed < 600.0 and total_bridge >= 1
+          and non_ham == {4: 0, 6: 0, 8: 0, 10: 2, 12: 5, 14: 35})
     _verdict(2, ok,
              f"{total_bridge} bridge graphs over n<=14, "
-             f"{len(exceptions)} Hamiltonian exceptions; {elapsed:.1f}s (< 600s)")
+             f"{len(exceptions)} Hamiltonian exceptions; non-Hamiltonian {non_ham}; "
+             f"{len(disagreements)} disagreements with classify_graph; {elapsed:.1f}s (< 600s)")
 
 
 def test_criterion_3_construction_invariants():

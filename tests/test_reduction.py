@@ -1,13 +1,13 @@
 import dataclasses
+import re
 from collections import Counter
 
 import pytest
 
 from cubic_lab.connectivity import component_of, find_bridges
 from cubic_lab.construction import bridge_construct
-from cubic_lab.errors import InputError
+from cubic_lab.errors import InputError, InvariantError
 from cubic_lab.graphs import (
-    bfs_distances,
     build_graph,
     edge,
     induced_subgraph,
@@ -20,11 +20,13 @@ from cubic_lab.reduction import (
     HorizontalEdge,
     IsolatedTriangle,
     OUTCOME_COMPLETE_TREE,
+    _contract_triangle,
+    _excise_horizontal_pair,
+    _finish_diamond_splice,
+    _refusal,
+    _stage_diamond_removal,
     build_reducible_state,
     classify_region,
-    contract_triangle,
-    excise_horizontal_pair,
-    finish_diamond_splice,
     int_fifth_root,
     make_reducible_state,
     nearest_region,
@@ -35,7 +37,6 @@ from cubic_lab.reduction import (
     reduce_isolated_triangle,
     reduce_step,
     reduce_to_n,
-    stage_diamond_removal,
 )
 from cubic_lab.symmetry import are_isomorphic, distinct_cycle_edges
 
@@ -76,6 +77,34 @@ def diamond_stalk():
     g = build_graph(14, edges)
     side = frozenset(range(5, 14))
     return g, 5, side, edge(4, 5)
+
+
+def triangle_ladder():
+    """12-vertex cubic bridge graph: the root 5 over triangles {6,8,9} and
+    {7,10,11}, whose far corners are joined by the depth-2 rungs (8,10)
+    and (9,11)."""
+    edges = half_k4(0) + [(4, 5)]
+    edges += [(5, 6), (5, 7), (6, 8), (6, 9), (8, 9), (7, 10), (7, 11), (10, 11)]
+    edges += [(8, 10), (9, 11)]
+    g = build_graph(12, edges)
+    return g, 5, frozenset(range(5, 12)), edge(4, 5)
+
+
+def state(builder, k=None):
+    g, root, side, bridge = builder()
+    return make_reducible_state(g, root, side, bridge, side_cycle_orbits=k)
+
+
+def dumbbell_state(dumbbell):
+    return make_reducible_state(dumbbell, 4, frozenset(range(5)), edge(4, 9))
+
+
+def assert_refused(st, case, reason, step):
+    """``_refusal`` names the reason, and the step treats the case as a
+    classifier bug."""
+    assert reason in _refusal(st, case)
+    with pytest.raises(InvariantError, match=re.escape(reason)):
+        step(st, case)
 
 
 def ladder_dumbbell():
@@ -193,35 +222,28 @@ class TestNearestVertices:
 
 class TestClassifyRegion:
     def test_isolated_triangle(self):
-        g, root, side, _ = triangle_tower()
-        profile = bfs_distances(g, root, within=side)
-        case = classify_region(g, frozenset({5, 6, 7, 8, 9, 10, 11}), profile)
+        case = classify_region(state(triangle_tower), frozenset({5, 6, 7, 8, 9, 10, 11}))
         assert case == IsolatedTriangle((6, 8, 9))
 
     def test_adjacent_triangles(self):
-        g, root, side, _ = diamond_stalk()
-        profile = bfs_distances(g, root, within=side)
-        case = classify_region(g, frozenset({6, 8, 9, 10}), profile)
+        # both triangles {6,8,9} and {8,9,10} have two corners exiting to
+        # one vertex, so they fall through to the diamond they form
+        case = classify_region(state(diamond_stalk), frozenset({6, 8, 9, 10}))
         assert case == AdjacentTriangles((6, 8, 9, 10))
 
     def test_horizontal_edge(self):
-        g, root, side, _ = triangle_tower()
-        profile = bfs_distances(g, root, within=side)
-        # 8 and 9 share depth 2 and are adjacent; the two-vertex region has
-        # no triangle
-        case = classify_region(g, frozenset({8, 9}), profile)
-        assert case == HorizontalEdge(edge(8, 9))
+        # (8,9) shares neighbor 6 and (8,12), (9,13) span two depths, so
+        # the first edge that applies is (12,13) at depth 3
+        case = classify_region(state(triangle_tower), frozenset({8, 9, 12, 13}))
+        assert case == HorizontalEdge(edge(12, 13))
 
     def test_complete_tree(self):
-        g, root, side, _ = triangle_tower()
-        profile = bfs_distances(g, root, within=side)
-        case = classify_region(g, frozenset({5, 6, 7}), profile)
+        case = classify_region(state(triangle_tower), frozenset({5, 6, 7}))
         assert case == CompleteTree()
 
-    def test_empty_region_rejected(self, d8):
-        profile = bfs_distances(d8, 0)
-        with pytest.raises(InputError):
-            classify_region(d8, frozenset(), profile)
+    def test_empty_region_rejected(self, dumbbell):
+        with pytest.raises(InputError, match="empty region"):
+            classify_region(dumbbell_state(dumbbell), frozenset())
 
     def test_cyclic_region_without_triangle_or_level_edge_rejected(self):
         # root 2 has depth-1 neighbours 0 and 1, and both are adjacent to
@@ -236,61 +258,64 @@ class TestClassifyRegion:
         assert region == frozenset({0, 1, 2, 4, 5})
         assert induced_subgraph(g, region)[0].m == 6
         with pytest.raises(InputError, match=r"region \[0, 1, 2, 4, 5\] of MXr\?GOOC"):
-            classify_region(g, region, st.profile)
-        with pytest.raises(InputError, match="not a complete tree"):
+            classify_region(st, region)
+        with pytest.raises(InputError, match="admits no reduction case and is not a complete tree"):
             reduce_step(st)
 
-    def test_region_without_the_root_rejected(self, d8):
-        # no triangle, no level edge, but a complete tree only counts when
-        # it hangs from the profile's root
-        profile = bfs_distances(d8, 0)
-        with pytest.raises(InputError, match="not a complete tree"):
-            classify_region(d8, frozenset({3}), profile)
+    def test_region_without_the_root_rejected(self, dumbbell):
+        # no triangle, no edge, but a complete tree only counts when it
+        # hangs from the state's root 4
+        with pytest.raises(InputError, match="not a complete tree rooted at 4"):
+            classify_region(dumbbell_state(dumbbell), frozenset({3}))
 
 
 class TestContractTriangle:
     def test_prism_becomes_k4(self, prism, k4):
-        out, remap, hub = contract_triangle(prism, (0, 1, 2))
+        out, remap, hub = _contract_triangle(prism, (0, 1, 2))
         assert out.n == 4 and is_cubic(out)
         assert are_isomorphic(out, k4)
         assert hub == 3 and remap == {3: 0, 4: 1, 5: 2}
 
-    def test_k4_shared_externals_rejected(self, k4):
-        with pytest.raises(InputError, match="shares an outside neighbor"):
-            contract_triangle(k4, (0, 1, 2))
-
     def test_dumbbell_triangle_rejected(self, dumbbell):
         # {0,1,2} sits in a diamond: 0 and 1 both exit to vertex 3
-        with pytest.raises(InputError, match="shares an outside neighbor"):
-            contract_triangle(dumbbell, (0, 1, 2))
+        assert_refused(
+            dumbbell_state(dumbbell), IsolatedTriangle((0, 1, 2)),
+            "outside edges that share an end", reduce_isolated_triangle,
+        )
 
-    def test_not_a_triangle(self, prism):
-        with pytest.raises(InputError, match="triangle"):
-            contract_triangle(prism, (0, 1, 3))
+    def test_not_a_triangle(self):
+        # 6-8 and 8-12 are edges, 6-12 is not
+        assert_refused(
+            state(triangle_tower), IsolatedTriangle((6, 8, 12)),
+            "is not a triangle", reduce_isolated_triangle,
+        )
 
 
 class TestSpliceAdjacentTriangles:
     def test_dumbbell_diamond_shared_exit_rejected(self, dumbbell):
-        with pytest.raises(InputError, match="bridge"):
-            stage_diamond_removal(
-                dumbbell, (0, 1, 2, 3), keep_within=frozenset(range(dumbbell.n))
-            )
+        # both tips 2 and 3 exit to the root 4, whose third edge is the bridge
+        assert_refused(
+            dumbbell_state(dumbbell), AdjacentTriangles((0, 1, 2, 3)),
+            "outside edges that share an end", reduce_adjacent_triangles,
+        )
 
     def test_valid_diamond_shrinks_by_two(self):
         g, root, side, bridge = diamond_stalk()
-        staged, remap, patch, second, pool = stage_diamond_removal(
+        staged, remap, patch, second, pool = _stage_diamond_removal(
             g, (6, 8, 9, 10), keep_within=side
         )
-        out = finish_diamond_splice(staged, second, pool[0])
+        out = _finish_diamond_splice(staged, second, pool[0])
         assert out.n == 12 and is_cubic(out)
         assert find_bridges(out)  # still a bridge graph
         assert out.has_edge(patch, second)
         assert out.degree(second) == 3
 
-    def test_not_a_diamond(self, k4):
-        with pytest.raises(InputError, match="diamond"):
-            # induces 6 edges
-            stage_diamond_removal(k4, (0, 1, 2, 3), keep_within=frozenset(range(4)))
+    def test_not_a_diamond(self):
+        # {6,8,9,12} induces the triangle {6,8,9} and the edge 8-12: 4 edges
+        assert_refused(
+            state(triangle_tower), AdjacentTriangles((6, 8, 9, 12)),
+            "is not a diamond", reduce_adjacent_triangles,
+        )
 
 
 class TestExciseHorizontalPair:
@@ -299,32 +324,34 @@ class TestExciseHorizontalPair:
         # mids vanish, far1 joins close1 and far2 joins close2
         g = build_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4),
                             (0, 6), (2, 6), (3, 7), (5, 7), (6, 7)])
-        out, remap = excise_horizontal_pair(g, edge(1, 4))
+        out, remap = _excise_horizontal_pair(g, edge(1, 4))
         assert out.n == 6
         assert out.has_edge(remap[0], remap[2])
         assert out.has_edge(remap[3], remap[5])
         assert not out.has_edge(remap[0], remap[3])
 
     def test_shared_neighbor_rejected(self):
-        g, root, side, _ = triangle_tower()
-        # 8 and 9 are both adjacent to 6: a triangle, hence a misroute
-        with pytest.raises(InputError, match="share neighbor"):
-            excise_horizontal_pair(g, edge(8, 9))
+        # 8 and 9 are both adjacent to 6: excising them would double 6-12
+        assert_refused(
+            state(triangle_tower), HorizontalEdge(edge(8, 9)),
+            "share neighbor(s) [6]", reduce_horizontal_edge,
+        )
 
     def test_adjacent_companions_rejected(self):
-        # u's other two neighbors already joined: rejoining would double it
-        g = build_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (4, 5), (1, 4), (2, 5)])
-        with pytest.raises(InputError, match="already adjacent"):
-            excise_horizontal_pair(g, edge(0, 3))
+        # 8 and 10 share depth 2 and no neighbor, but 8's other neighbors
+        # 6 and 9 are already adjacent: rejoining them would double 6-9
+        assert_refused(
+            state(triangle_ladder), HorizontalEdge(edge(8, 10)),
+            "other neighbors [6, 9] are already adjacent", reduce_horizontal_edge,
+        )
 
 
 class TestStateReductions:
     def test_isolated_triangle_step(self):
-        g, root, side, bridge = triangle_tower()
-        st = make_reducible_state(g, root, side, bridge, side_cycle_orbits=8 ** 5)
+        st = state(triangle_tower, 8 ** 5)
         region = nearest_region(st)
         assert region == frozenset({5, 6, 7, 8, 9, 10, 11})
-        case = classify_region(g, region, st.profile)
+        case = classify_region(st, region)
         assert case == IsolatedTriangle((6, 8, 9))
         nxt = reduce_isolated_triangle(st, case)
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
@@ -344,17 +371,30 @@ class TestStateReductions:
         nxt = reduce_horizontal_edge(st, HorizontalEdge(edge(12, 13)))
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
 
+    def test_reduce_step_reaches_adjacent_triangles(self):
+        # a 16-vertex bridge graph whose triangles {4,5,10} and {4,5,11}
+        # each send two corners to one vertex: the diamond is the first
+        # case that applies
+        g = parse_graph6("OkQ?___G?W@`?K?K_W?E@")
+        bridge = edge(0, 3)
+        side = component_of(g, 0, {bridge})
+        st = make_reducible_state(g, 0, side, bridge, side_cycle_orbits=8 ** 5)
+        nxt, case, _ = reduce_step(st)
+        assert case == AdjacentTriangles((4, 5, 10, 11))
+        assert nxt.graph.n == 14 and is_cubic(nxt.graph)
+        assert find_bridges(nxt.graph)
+
     def test_horizontal_depth_mismatch_rejected(self):
-        g, root, side, bridge = triangle_tower()
-        st = make_reducible_state(g, root, side, bridge)
-        with pytest.raises(InputError, match="equal distance"):
-            reduce_horizontal_edge(st, HorizontalEdge(edge(5, 6)))
+        assert_refused(
+            state(triangle_tower), HorizontalEdge(edge(5, 6)),
+            "joins depths 0 and 1", reduce_horizontal_edge,
+        )
 
     def test_off_side_feature_rejected(self):
-        g, root, side, bridge = triangle_tower()
-        st = make_reducible_state(g, root, side, bridge)
-        with pytest.raises(InputError, match="side"):
-            reduce_isolated_triangle(st, IsolatedTriangle((0, 1, 2)))
+        assert_refused(
+            state(triangle_tower), IsolatedTriangle((0, 1, 2)),
+            "does not lie on the working side", reduce_isolated_triangle,
+        )
 
 
 class TestPipeline:
@@ -415,20 +455,18 @@ class TestPipeline:
         assert nxt.profile.dist[new_id_of_12] < old_depth
 
 
-_SWEEP_REFUSALS = (
-    "refusing to contract a triangle through the root",
-    "refusing to excise a diamond through the root",
-    "share neighbor",
-    "shares an outside neighbor",
-    "not a complete tree",
-)
-
-
 class TestBridgeSideSweep:
     """``reduce_step`` on every bridge graph with 10 <= n <= 14, at every
     bridge, from each endpoint as root, with k = m**5 for 4 <= m <= |side|.
     These states take k by hand: the real orbit counts of their sides are
-    all below 32, where every region underflows."""
+    all below 32, where every region underflows.
+
+    No state ends in a refused proposal: each reduces, is a complete tree,
+    or admits no case. Four states reduce by a horizontal edge where the
+    classifier once proposed a triangle the surgery refused: the n = 14
+    graph M`UYC?_G?E?X?K?K_ at bridge (2,3), root 3, m = 6 to 9. Its only
+    triangle in the region, {3,4,5}, passes through the root, so the
+    classifier falls through to the depth-2 edge (0,1)."""
 
     def test_outcome_counts(self):
         from cubic_lab.census import enumerate_cubic
@@ -447,10 +485,8 @@ class TestBridgeSideSweep:
                             try:
                                 nxt, case, _ = reduce_step(st)
                             except InputError as exc:
-                                refusal = next(
-                                    (r for r in _SWEEP_REFUSALS if r in str(exc)), str(exc)
-                                )
-                                outcomes[refusal] += 1
+                                assert "admits no reduction case" in str(exc)
+                                outcomes["no-case"] += 1
                                 continue
                             if nxt is None:
                                 assert case == CompleteTree()
@@ -460,12 +496,8 @@ class TestBridgeSideSweep:
                                 outcomes[type(case).__name__] += 1
         assert outcomes == {
             "IsolatedTriangle": 9,
-            "HorizontalEdge": 11,
+            "HorizontalEdge": 15,
             "complete-tree": 168,
-            "refusing to contract a triangle through the root": 50,
-            "refusing to excise a diamond through the root": 10,
-            "share neighbor": 8,
-            "shares an outside neighbor": 2,
-            "not a complete tree": 10,
+            "no-case": 76,
         }
         assert sum(outcomes.values()) == 268
