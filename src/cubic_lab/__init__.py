@@ -35,6 +35,7 @@ from .symmetry import (
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
+    isomorphic_pairs,
 )
 from .hamilton import HamiltonicityResult, has_hamiltonian_cycle
 from .construction import (

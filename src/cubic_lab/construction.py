@@ -43,6 +43,7 @@ from .symmetry import (
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
+    isomorphic_pairs,
 )
 
 
@@ -349,7 +350,7 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
     Orbit representatives are the least ``insertable_edges`` of the orbit
     whenever it has one; orbits with no insertable edge collapse into the
     single join-open-nodes member. Isomorphism collisions between members
-    are reported, never dropped.
+    (``isomorphic_pairs``) are reported, never dropped.
     """
     side, remap, side_bridges = rec._side_with_bridges
     if mode == MODE_STABILIZER:
@@ -379,13 +380,7 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
         )
     members.sort(key=lambda mem: (mem.kind != MEMBER_INSERT, mem.chosen_edge))
 
-    forms = [canonical_form(mem.graph).graph6 for mem in members]
-    collisions = tuple(
-        (i, j)
-        for i in range(len(forms))
-        for j in range(i + 1, len(forms))
-        if forms[i] == forms[j]
-    )
+    collisions = isomorphic_pairs([mem.graph for mem in members])
     return InsertionFamily(rec, tuple(members), not collisions, collisions)
 
 

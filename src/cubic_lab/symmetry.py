@@ -12,7 +12,10 @@ never exceed a few dozen vertices and exactness matters more than
 asymptotics here.
 
 The starting partition groups vertices by ``_vertex_keys`` (degree, triangles,
-sorted BFS distances).
+sorted BFS distances). Their sorted multiset is an isomorphism invariant of
+the whole graph, so ``isomorphic_pairs`` (and ``are_isomorphic`` through it)
+compares those first and runs the canonical search only on graphs whose
+keys tie; equal canonical graph6 bytes then decide each tied pair.
 Refinement keys a vertex by the sorted cell indices of its neighbors. The
 search skips subtrees that are images of earlier ones: two leaves with
 equal codes give an automorphism, and a child in the orbit of an explored
@@ -68,6 +71,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .connectivity import find_bridges
@@ -266,10 +270,28 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(_canonical_graph6(g, labeling), labeling)
 
 
+def isomorphic_pairs(graphs: Sequence[Graph]) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i, j), i < j, of isomorphic graphs, in ascending order.
+
+    Graphs are grouped by n and their sorted ``_vertex_keys``, which
+    isomorphic graphs always share. Only a graph whose key another graph
+    shares gets a canonical search, and equal canonical graph6 bytes decide
+    each pair within a group. So the canonical cap applies only where keys
+    tie.
+    """
+    by_key: dict[tuple, list[int]] = {}
+    for i, g in enumerate(graphs):
+        by_key.setdefault((g.n, tuple(sorted(_vertex_keys(g.adj)))), []).append(i)
+    pairs = []
+    for tied in by_key.values():
+        if len(tied) > 1:
+            forms = [(i, canonical_form(graphs[i]).graph6) for i in tied]
+            pairs.extend((i, j) for (i, a), (j, b) in combinations(forms, 2) if a == b)
+    return tuple(sorted(pairs))
+
+
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or g.m != h.m:
-        return False
-    return canonical_form(g).graph6 == canonical_form(h).graph6
+    return bool(isomorphic_pairs((g, h)))
 
 
 def _check_automorphisms(g: Graph, perms: Sequence[Sequence[int]], root: Optional[int] = None) -> None:

@@ -36,6 +36,8 @@ from cubic_lab.symmetry import (
     distinct_cycle_edges,
 )
 
+from oracles import oracle_canonical_form
+
 
 class TestSelectActiveSide:
     def test_d8_tie_breaks_to_side_with_vertex_zero(self, d8):
@@ -277,12 +279,30 @@ class TestInsertionFamily:
         assert are_isomorphic(join.graph, joined)
 
     def test_members_pairwise_distinct_by_oracle(self, d8):
-        # canonical verdicts agree with the structure: compare edge sets of
-        # the three members under the identity (all differ) and canonically
         rec = bridge_construct(d8)
         fam = insertion_family(rec)
-        forms = [canonical_form(m.graph).graph6 for m in fam.members]
+        forms = [oracle_canonical_form(m.graph)[0] for m in fam.members]
         assert len(set(forms)) == len(forms)
+
+    # the only families with a collision among every biconnected class up
+    # to n = 16, in both orbit modes; none has one up to n = 14
+    @pytest.mark.parametrize("g6, report", [
+        ("OgM?h`??WH?R_?A???W?F", ((11, 14),)),
+        ("OoL?G_q_OI?RO?A???W?F", ((12, 15),)),
+    ])
+    @pytest.mark.parametrize("mode", [MODE_STABILIZER, MODE_FULL])
+    def test_collisions_match_oracle(self, g6, report, mode):
+        fam = insertion_family(bridge_construct(parse_graph6(g6)), mode)
+        # graph6 only: isomorphic members have different labelings
+        forms = [oracle_canonical_form(m.graph)[0] for m in fam.members]
+        expected = tuple(
+            (i, j)
+            for i in range(len(forms))
+            for j in range(i + 1, len(forms))
+            if forms[i] == forms[j]
+        )
+        assert fam.collision_report == expected == report
+        assert not fam.pairwise_noniso
 
     def test_family_deterministic(self, d8):
         rec = bridge_construct(d8)

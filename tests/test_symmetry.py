@@ -14,6 +14,7 @@ from cubic_lab.symmetry import (
     canonical_form,
     distinct_cycle_edges,
     edge_orbits,
+    isomorphic_pairs,
 )
 
 from conftest import make_petersen_dumbbell
@@ -138,6 +139,35 @@ class TestAreIsomorphic:
         # the explicit permutation exchanging the two diamonds
         swap = [4, 5, 6, 7, 0, 1, 2, 3]
         assert are_isomorphic(d8, relabel(d8, swap))
+
+
+class TestIsomorphicPairs:
+    def test_key_alike_graphs_reach_the_search(self, petersen, monkeypatch):
+        # a and b have equal sorted vertex keys but are not isomorphic; the
+        # Petersen graph's n is unique, so it is never searched
+        a, b = parse_graph6("K??Z@PP`d_X?"), parse_graph6("K??i``Hacg[?")
+        assert sorted(symmetry._vertex_keys(a.adj)) == sorted(symmetry._vertex_keys(b.adj))
+        assert oracle_canonical_form(a)[0] != oracle_canonical_form(b)[0]
+        rng = random.Random(3)
+        relabelings = []
+        for _ in range(2):
+            perm = list(range(a.n))
+            rng.shuffle(perm)
+            relabelings.append(relabel(a, perm))
+        graphs = [a, petersen, b, *relabelings]
+        searched = []
+        original = symmetry.canonical_form
+        monkeypatch.setattr(symmetry, "canonical_form",
+                            lambda g: searched.append(g) or original(g))
+        assert isomorphic_pairs(graphs) == ((0, 3), (0, 4), (3, 4))
+        assert sorted(map(id, searched)) == sorted(id(graphs[i]) for i in (0, 2, 3, 4))
+
+    def test_cap_applies_only_where_keys_tie(self):
+        one = build_graph(CANON_MAX_N + 2, [(0, 1)])
+        two = build_graph(CANON_MAX_N + 2, [(0, 1), (1, 2)])
+        assert isomorphic_pairs([one, two]) == ()
+        with pytest.raises(InputError, match="canonical_form supports at most"):
+            isomorphic_pairs([one, relabel(one, list(range(one.n))[::-1])])
 
 
 class TestAutomorphismGroup:
