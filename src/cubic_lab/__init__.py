@@ -46,6 +46,6 @@ from .construction import (
     insertion_family,
 )
 from .reduction import ReducibleState, ReductionOutcome, reduce_to_n
-from .census import CensusRow, census_table, conjecture_probe, enumerate_cubic
+from .census import CensusRow, census_table, conjecture_probe, enumerate_cubic, enumerate_graph6
 
 __version__ = "0.1.0"

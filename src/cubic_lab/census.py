@@ -60,11 +60,12 @@ one new vertex and those of y's ends to the other builds a child
 isomorphic to C, with the new edge mapped to e*. That child passes the
 filter, and its canonical form is C's.
 
-With ``jobs`` > 1, ``census_table`` opens one process pool for the whole
-run. The parents of each level are mapped over it one parent per task,
-as graph6 strings, and the sorted union of their children's canonical
-forms is the serial result. The same pool then classifies the graphs;
-aggregation is count-based and therefore independent of completion order.
+Each level is kept as its sorted canonical graph6 strings; a ``Graph`` is
+parsed only where one is used, and none is cached. With ``jobs`` > 1,
+``census_table`` opens one process pool for the whole run and ships the
+levels to it as they are: one parent per task, whose children's canonical
+forms join the serial result, then the level's strings for classifying,
+counted per (class, Hamiltonicity) independently of completion order.
 
 The evidence tables are the census rows (connectivity classes and
 Hamiltonicity counted per n) and the complete-tree probe
@@ -74,10 +75,11 @@ Hamiltonicity counted per n) and the complete-tree probe
 from __future__ import annotations
 
 import os
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .connectivity import classify_connectivity, component_of, find_bridges
 from .errors import InputError, InvariantError
@@ -85,7 +87,6 @@ from .graphs import (
     Graph,
     bfs_distances,
     edge,
-    emit_graph6,
     induced_subgraph,
     parse_graph6,
 )
@@ -220,12 +221,12 @@ def _child_forms(g6: str) -> set[bytes]:
     return _children(parse_graph6(g6))
 
 
-def _map(pool, fn, items: list, chunksize: int = 1) -> list:
-    """``fn`` over ``items`` in order, in the pool's workers, or in this
-    process when ``pool`` is None."""
+def _map(pool, fn, items: Iterable, chunksize: int = 1) -> Iterator:
+    """``fn`` over ``items``, yielded lazily in order, from the pool's
+    workers, or from this process when ``pool`` is None."""
     if pool is None:
-        return [fn(item) for item in items]
-    return list(pool.map(fn, items, chunksize=chunksize))
+        return map(fn, items)
+    return pool.map(fn, items, chunksize=chunksize)
 
 
 def _process_pool(jobs: int):
@@ -239,22 +240,23 @@ def _process_pool(jobs: int):
     return ProcessPoolExecutor(max_workers=jobs)
 
 
-_ENUMERATED: dict[int, tuple[Graph, ...]] = {}
+_ENUMERATED: dict[int, tuple[str, ...]] = {}
 
 
-def _enumerate_cached(n: int, pool=None) -> tuple[Graph, ...]:
-    """The classes of size n, computed once per process from those of size
-    n - 2, one parent per ``_map`` task."""
-    graphs = _ENUMERATED.get(n)
-    if graphs is None:
+def _enumerate_cached(n: int, pool=None) -> tuple[str, ...]:
+    """The sorted canonical graph6 strings of size n, computed once per
+    process from those of size n - 2, one parent per ``_map`` task."""
+    level = _ENUMERATED.get(n)
+    if level is None:
         if n == 4:
             forms = {b"C~"}  # K4
         else:
-            parents = [emit_graph6(g) for g in _enumerate_cached(n - 2, pool)]
-            forms = set().union(*_map(pool, _child_forms, parents))
-        graphs = tuple(parse_graph6(form.decode("ascii")) for form in sorted(forms))
-        _ENUMERATED[n] = graphs
-    return graphs
+            forms = set()
+            for children in _map(pool, _child_forms, _enumerate_cached(n - 2, pool)):
+                forms |= children
+        level = tuple(form.decode("ascii") for form in sorted(forms))
+        _ENUMERATED[n] = level
+    return level
 
 
 def _check_enumeration_n(n: int) -> None:
@@ -267,11 +269,16 @@ def _check_enumeration_n(n: int) -> None:
         raise InputError(f"n must lie in [4, {bound}], got {n}")
 
 
-def enumerate_cubic(n: int) -> tuple[Graph, ...]:
+def enumerate_graph6(n: int) -> tuple[str, ...]:
     """Every connected cubic graph on n vertices, exactly once per
-    isomorphism class, as canonical representatives in canonical order."""
+    isomorphism class, as sorted canonical graph6 strings."""
     _check_enumeration_n(n)
     return _enumerate_cached(n)
+
+
+def enumerate_cubic(n: int) -> tuple[Graph, ...]:
+    """``enumerate_graph6(n)`` parsed anew on every call."""
+    return tuple(parse_graph6(g6) for g6 in enumerate_graph6(n))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +303,11 @@ def classify_graph(g: Graph) -> dict:
     """Per-graph facts: size, connectivity class and Hamiltonicity."""
     cls = classify_connectivity(g)
     if cls.bridge_count:
-        # the shortcut has_hamiltonian_cycle would take, from the bridges
-        # already counted
+        # a cycle through every vertex would cross a bridge twice, so the
+        # bridges already counted answer without a search
         ham = HamiltonicityResult(False, None, CERT_BRIDGE)
     else:
-        ham = has_hamiltonian_cycle(g, use_bridge_shortcut=False)
+        ham = has_hamiltonian_cycle(g)
     return {
         "n": g.n,
         "bridge_count": cls.bridge_count,
@@ -316,19 +323,15 @@ def classify_graph6(g6: str) -> dict:
     return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
-def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
-    total = len(facts)
-    ham = sum(1 for f in facts if f["is_hamiltonian"])
-    bridge = sum(1 for f in facts if f["class"] == "bridge")
-    bicon = sum(1 for f in facts if f["class"] == "biconnected")
-    three = sum(1 for f in facts if f["class"] == "three-connected")
-    non_ham = total - ham
-    nh_bridge = sum(
-        1 for f in facts if f["class"] == "bridge" and not f["is_hamiltonian"]
+def _row_from_facts(n: int, facts: Iterable[dict]) -> CensusRow:
+    counts = Counter((f["class"], f["is_hamiltonian"]) for f in facts)
+    total = sum(counts.values())
+    non_ham = sum(count for (_, is_ham), count in counts.items() if not is_ham)
+    bridge, bicon, three = (
+        counts[label, False] + counts[label, True]
+        for label in ("bridge", "biconnected", "three-connected")
     )
-    nh_non3 = sum(
-        1 for f in facts if f["class"] != "three-connected" and not f["is_hamiltonian"]
-    )
+    nh_bridge = counts["bridge", False]
     if bridge != nh_bridge:
         raise InvariantError(
             f"a bridge graph tested Hamiltonian at n={n}; the solver is broken"
@@ -338,13 +341,13 @@ def _row_from_facts(n: int, facts: list[dict]) -> CensusRow:
     return CensusRow(
         n=n,
         total_cubic=total,
-        hamiltonian=ham,
+        hamiltonian=total - non_ham,
         non_hamiltonian=non_ham,
         bridge=bridge,
         biconnected=bicon,
         three_connected=three,
         non_ham_and_bridge=nh_bridge,
-        non_ham_non3conn=nh_non3,
+        non_ham_non3conn=non_ham - counts["three-connected", False],
         bridge_fraction_of_non_ham=(nh_bridge / non_ham) if non_ham else 0.0,
     )
 
@@ -371,25 +374,24 @@ def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
 
 
 def _census_row(n: int, pool) -> CensusRow:
-    g6s = [emit_graph6(g) for g in _enumerate_cached(n, pool)]
-    return _row_from_facts(n, _map(pool, classify_graph6, g6s, chunksize=16))
+    facts = _map(pool, classify_graph6, _enumerate_cached(n, pool), chunksize=16)
+    return _row_from_facts(n, facts)
 
 
-def census_csv(rows: list[CensusRow]) -> str:
-    names = [f.name for f in fields(CensusRow)]
-    out = [",".join(names)]
-    for row in rows:
-        cells = []
-        for name in names:
-            value = getattr(row, name)
-            cells.append(f"{value:.6f}" if isinstance(value, float) else str(value))
-        out.append(",".join(cells))
-    return "\n".join(out) + "\n"
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    return f"{value:.6f}" if isinstance(value, float) else str(value)
 
 
-def census_json(rows: list[CensusRow]) -> list[dict]:
-    names = [f.name for f in fields(CensusRow)]
-    return [{name: getattr(row, name) for name in names} for row in rows]
+def table_csv(row_type: type, rows: Iterable) -> str:
+    """Rows of the dataclass ``row_type`` as CSV: a header of its field
+    names, then floats to six places, bools in lower case and everything
+    else as ``str``."""
+    names = [f.name for f in fields(row_type)]
+    lines = [",".join(names)]
+    lines += [",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +470,4 @@ def probe_table(n_min: int, n_max: int) -> list[ConjectureProbeRow]:
             f"the probe row for n = {top} needs the graphs on n + 2 = {top + 2} vertices: {exc}"
         ) from None
     return [conjecture_probe(n) for n in sizes]
-
-
-def probe_csv(rows: list[ConjectureProbeRow]) -> str:
-    out = ["n,lhs_count,rhs_count,injection_possible"]
-    for r in rows:
-        out.append(f"{r.n},{r.lhs_count},{r.rhs_count},{str(r.injection_possible).lower()}")
-    return "\n".join(out) + "\n"
 

@@ -15,14 +15,15 @@ from pathlib import Path
 from typing import Optional
 
 from .census import (
-    census_csv,
-    census_json,
+    CensusRow,
+    ConjectureProbeRow,
     census_table,
     classify_graph,
     enumerate_cubic,
+    enumerate_graph6,
     even_sizes,
-    probe_csv,
     probe_table,
+    table_csv,
 )
 from .connectivity import classify_connectivity
 from .construction import (
@@ -136,10 +137,10 @@ def _json(payload) -> str:
 
 
 def _cmd_enumerate(args) -> str:
-    graphs = enumerate_cubic(args.n)
+    level = enumerate_graph6(args.n)
     if args.format == "edgelist":
-        return "".join(emit_edgelist(g) for g in graphs)
-    return "".join(emit_graph6(g) + "\n" for g in graphs)
+        return "".join(emit_edgelist(parse_graph6(g6)) for g6 in level)
+    return "".join(g6 + "\n" for g6 in level)
 
 
 def _cmd_classify(args) -> str:
@@ -199,18 +200,18 @@ def _cmd_reduce(args) -> str:
     return _json(payload)
 
 
-def _cmd_census(args) -> str:
-    rows = census_table(args.n_min, args.n_max, jobs=args.jobs)
+def _table(args, row_type: type, rows: list) -> str:
     if args.format == "json":
-        return _json(census_json(rows))
-    return census_csv(rows)
+        return _json([dataclasses.asdict(row) for row in rows])
+    return table_csv(row_type, rows)
+
+
+def _cmd_census(args) -> str:
+    return _table(args, CensusRow, census_table(args.n_min, args.n_max, jobs=args.jobs))
 
 
 def _cmd_probe(args) -> str:
-    rows = probe_table(args.n_min, args.n_max)
-    if args.format == "json":
-        return _json([row.__dict__ for row in rows])
-    return probe_csv(rows)
+    return _table(args, ConjectureProbeRow, probe_table(args.n_min, args.n_max))
 
 
 def _cmd_verify(args) -> str:

@@ -282,7 +282,10 @@ def parse_edgelist(text: str) -> Graph:
         raise InputError(f"malformed edge list: {exc}") from exc
     if len(pairs) != m:
         raise InputError(f"edge list declares {m} edges but has {len(pairs)}")
-    return build_graph(n, pairs)
+    g = build_graph(n, pairs)
+    if g.m != m:
+        raise InputError(f"edge list declares {m} edges but has {g.m} distinct ones")
+    return g
 
 
 # ---------------------------------------------------------------------------

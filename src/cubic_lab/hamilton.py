@@ -1,10 +1,10 @@
 """Exact Hamiltonian-cycle decision for small graphs.
 
-Plain backtracking from vertex 0 with two prunes: a graph with a bridge is
-rejected immediately (a cycle through every vertex cannot cross a bridge
-twice, so bridge graphs are never Hamiltonian), and a branch dies as soon as
-some unvisited vertex has fewer than two usable connections left. Witnesses
-are re-verified by an independent checker before being returned.
+Plain backtracking from vertex 0: a branch dies as soon as some unvisited
+vertex has fewer than two usable connections left. Bridge graphs get the
+full search too; ``census.classify_graph`` answers them from their bridge
+count instead, with ``CERT_BRIDGE``. Witnesses are re-verified by an
+independent checker before being returned.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .connectivity import find_bridges
 from .errors import InputError, InvariantError
 from .graphs import Graph, is_connected
 
@@ -38,14 +37,12 @@ def verify_hamiltonian_cycle(g: Graph, seq: tuple[int, ...]) -> bool:
     )
 
 
-def has_hamiltonian_cycle(g: Graph, use_bridge_shortcut: bool = True) -> HamiltonicityResult:
+def has_hamiltonian_cycle(g: Graph) -> HamiltonicityResult:
     """Decide Hamiltonicity exactly; deterministic witness when one exists."""
     if g.n < 3:
         raise InputError("Hamiltonicity needs at least 3 vertices")
     if not is_connected(g):
         raise InputError("has_hamiltonian_cycle requires a connected graph")
-    if use_bridge_shortcut and find_bridges(g):
-        return HamiltonicityResult(False, None, CERT_BRIDGE)
 
     n = g.n
     adj = g.adj

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -6,16 +7,16 @@ from cubic_lab import census
 from cubic_lab.census import (
     BridgeTreeReport,
     CensusRow,
+    ConjectureProbeRow,
     _size_in_window,
-    census_csv,
-    census_json,
     census_table,
     classify_graph,
     classify_graph6,
     conjecture_probe,
     enumerate_cubic,
+    enumerate_graph6,
     is_complete_tree_at_bridge,
-    probe_csv,
+    table_csv,
 )
 from cubic_lab.connectivity import find_bridges
 from cubic_lab.errors import InputError
@@ -197,10 +198,26 @@ class TestGeneration:
 
         monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
         enumerate_cubic(12)
-        # 112 classes parsed into the levels 4 to 12, 27 parents parsed
-        # for their children, and per accepted child (229, see above) the
-        # child and its canonical relabeling
-        assert built[0] == 112 + 27 + 2 * 229 == 597
+        # levels stay graph6 strings: the 85 classes of the returned level
+        # 12 parsed, 27 parents parsed for their children, and per accepted
+        # child (229, see above) the child and its canonical relabeling
+        assert built[0] == 85 + 27 + 2 * 229 == 570
+
+    def test_levels_are_sorted_graph6_strings(self, monkeypatch, capsys):
+        from cubic_lab.cli import main
+
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        census_table(4, 12)
+        assert sorted(census._ENUMERATED) == [4, 6, 8, 10, 12]
+        assert all(
+            type(g6) is str for level in census._ENUMERATED.values() for g6 in level
+        )
+        for n in range(4, 13, 2):
+            level = enumerate_graph6(n)
+            assert level == tuple(emit_graph6(g) for g in enumerate_cubic(n))
+            assert list(level) == sorted(level)
+            assert main(["enumerate", "--n", str(n)]) == 0
+            assert capsys.readouterr().out.splitlines() == list(level)
 
     def test_levels_same_for_every_jobs_value(self, monkeypatch):
         results = []
@@ -252,20 +269,23 @@ class TestCensusTable:
                 census_table(n_min, n_max)
 
     def test_csv_shape(self):
-        text = census_csv(census_table(4, 6))
+        text = table_csv(CensusRow, census_table(4, 6))
         lines = text.strip().split("\n")
         assert lines[0].startswith("n,total_cubic,hamiltonian,")
         assert len(lines) == 3
         assert lines[1].split(",")[0] == "4"
 
-    def test_json_mirrors_fields(self):
-        payload = census_json(census_table(4, 4))
+    def test_json_mirrors_fields(self, capsys):
+        from cubic_lab.cli import main
+
+        assert main(["census", "--n-min", "4", "--n-max", "4", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
         assert payload[0]["three_connected"] == 1
-        assert list(payload[0]) == [
+        assert sorted(payload[0]) == sorted([
             "n", "total_cubic", "hamiltonian", "non_hamiltonian", "bridge",
             "biconnected", "three_connected", "non_ham_and_bridge",
             "non_ham_non3conn", "bridge_fraction_of_non_ham",
-        ]
+        ])
 
     def test_classify_graph6_facts(self, petersen):
         facts = classify_graph6(emit_graph6(petersen))
@@ -274,13 +294,15 @@ class TestCensusTable:
         assert facts["certificate"] == "exhausted"
 
     def test_classify_graph_hamiltonicity_matches_solver(self):
-        # bridge graphs skip the solver; the facts must be what it reports
+        # bridge graphs skip the solver; its verdict must be the same, and
+        # on bridgeless graphs its certificate too
         for n in range(4, 13, 2):
             for g in enumerate_cubic(n):
                 facts = classify_graph(g)
                 ham = has_hamiltonian_cycle(g)
                 assert facts["is_hamiltonian"] == ham.is_hamiltonian
-                assert facts["certificate"] == ham.certificate_kind
+                if not facts["bridge_count"]:
+                    assert facts["certificate"] == ham.certificate_kind
 
     def test_classify_graph6_wraps_classify_graph(self, d8, dumbbell):
         for g in (d8, dumbbell):
@@ -337,7 +359,7 @@ class TestBridgeTreeProbe:
         assert row.injection_possible == (row.lhs_count <= row.rhs_count)
 
     def test_probe_csv(self):
-        text = probe_csv([conjecture_probe(10)])
+        text = table_csv(ConjectureProbeRow, [conjecture_probe(10)])
         lines = text.strip().split("\n")
         assert lines[0] == "n,lhs_count,rhs_count,injection_possible"
         assert lines[1].split(",")[1:3] == ["0", "1"]

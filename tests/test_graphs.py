@@ -116,6 +116,14 @@ class TestEdgeList:
         with pytest.raises(InputError, match="declares"):
             parse_edgelist("2 3\n0 1\n")
 
+    def test_repeated_pair_rejected(self):
+        with pytest.raises(InputError, match="declares 2 edges but has 1 distinct"):
+            parse_edgelist("4 2\n0 1\n1 0\n")
+        with pytest.raises(InputError, match="declares 2 edges but has 1 distinct"):
+            parse_edgelist("4 2\n0 1\n0 1\n")
+        # library callers keep the collapsing rule
+        assert build_graph(4, [(0, 1), (1, 0)]).m == 1
+
 
 class TestInducedSubgraph:
     def test_k4_restriction_is_triangle(self, k4):

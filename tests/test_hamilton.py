@@ -22,8 +22,12 @@ class TestSolver:
         assert not res.is_hamiltonian and res.certificate_kind == CERT_EXHAUSTED
 
     def test_dumbbell_bridge_shortcut(self, dumbbell):
+        from cubic_lab.census import classify_graph
+
+        facts = classify_graph(dumbbell)
+        assert not facts["is_hamiltonian"] and facts["certificate"] == CERT_BRIDGE
         res = has_hamiltonian_cycle(dumbbell)
-        assert not res.is_hamiltonian and res.certificate_kind == CERT_BRIDGE
+        assert not res.is_hamiltonian and res.certificate_kind == CERT_EXHAUSTED
 
     def test_prism_k33(self, prism, k33):
         assert has_hamiltonian_cycle(prism).is_hamiltonian
@@ -62,9 +66,10 @@ class TestWitnessVerifier:
 
 class TestShortcutSoundness:
     def test_bridge_graphs_fail_without_shortcut_too(self):
-        # regression guard: full backtracking agrees with the shortcut on
-        # every cubic bridge graph up to 12 vertices
-        from cubic_lab.census import enumerate_cubic
+        # regression guard: full backtracking agrees with the bridge
+        # shortcut of census.classify_graph on every cubic bridge graph up
+        # to 12 vertices
+        from cubic_lab.census import classify_graph, enumerate_cubic
         from cubic_lab.connectivity import find_bridges
 
         checked = 0
@@ -72,11 +77,11 @@ class TestShortcutSoundness:
             for g in enumerate_cubic(n):
                 if not find_bridges(g):
                     continue
-                fast = has_hamiltonian_cycle(g)
-                slow = has_hamiltonian_cycle(g, use_bridge_shortcut=False)
-                assert fast.certificate_kind == CERT_BRIDGE
+                fast = classify_graph(g)
+                slow = has_hamiltonian_cycle(g)
+                assert fast["certificate"] == CERT_BRIDGE
                 assert slow.certificate_kind == CERT_EXHAUSTED
-                assert not fast.is_hamiltonian and not slow.is_hamiltonian
+                assert not fast["is_hamiltonian"] and not slow.is_hamiltonian
                 checked += 1
         assert checked >= 1
 
