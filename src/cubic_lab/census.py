@@ -446,16 +446,39 @@ class ConjectureProbeRow:
     injection_possible: bool
 
 
+def _bridge_counts(n: int, trees: bool) -> tuple[int, int]:
+    """(bridge graphs on n vertices, those of them whose bridge side
+    carries an in-window complete tree) from one parse of the level. The
+    second count is 0 unless ``trees`` asks for it."""
+    bridge = matches = 0
+    for g6 in enumerate_graph6(n):
+        g = parse_graph6(g6)
+        if find_bridges(g):
+            bridge += 1
+            if trees and is_complete_tree_at_bridge(g).matches:
+                matches += 1
+    return bridge, matches
+
+
+def _probe_rows(sizes: Sequence[int]) -> list[ConjectureProbeRow]:
+    """The probe rows for the given even sizes. Each level is parsed once:
+    level m gives row m's rhs and row m - 2's lhs, and only counts are
+    kept. Levels are read largest first: when row n's n + 2 is out of
+    range, that is the error raised, before any level is parsed."""
+    levels = sorted(set(sizes) | {n + 2 for n in sizes}, reverse=True)
+    counts = {m: _bridge_counts(m, trees=m - 2 in sizes) for m in levels}
+    rows = []
+    for n in sizes:
+        lhs, rhs = counts[n + 2][1], counts[n][0]
+        rows.append(ConjectureProbeRow(n, lhs, rhs, lhs <= rhs))
+    return rows
+
+
 def conjecture_probe(n: int) -> ConjectureProbeRow:
     """Count cubic bridge graphs of size n+2 whose bridge side carries an
     in-window complete tree (lhs) against all cubic bridge graphs of size n
     (rhs). A finite injection from lhs into rhs exists iff lhs <= rhs."""
-    lhs = 0
-    for g in enumerate_cubic(n + 2):
-        if find_bridges(g) and is_complete_tree_at_bridge(g).matches:
-            lhs += 1
-    rhs = sum(1 for g in enumerate_cubic(n) if find_bridges(g))
-    return ConjectureProbeRow(n, lhs, rhs, lhs <= rhs)
+    return _probe_rows([n])[0]
 
 
 def probe_table(n_min: int, n_max: int) -> list[ConjectureProbeRow]:
@@ -469,5 +492,4 @@ def probe_table(n_min: int, n_max: int) -> list[ConjectureProbeRow]:
         raise InputError(
             f"the probe row for n = {top} needs the graphs on n + 2 = {top + 2} vertices: {exc}"
         ) from None
-    return [conjecture_probe(n) for n in sizes]
-
+    return _probe_rows(sizes)

@@ -19,7 +19,7 @@ from .census import (
     ConjectureProbeRow,
     census_table,
     classify_graph,
-    enumerate_cubic,
+    classify_graph6,
     enumerate_graph6,
     even_sizes,
     probe_table,
@@ -146,11 +146,11 @@ def _cmd_enumerate(args) -> str:
 def _cmd_classify(args) -> str:
     if (args.n is None) == (args.infile is None):
         raise InputError("classify needs exactly one of --n or --in")
-    graphs = enumerate_cubic(args.n) if args.n is not None else _read_corpus(args.infile)
-    return "".join(
-        json.dumps({"graph6": emit_graph6(g), **classify_graph(g)}, sort_keys=True) + "\n"
-        for g in graphs
-    )
+    if args.n is not None:
+        facts = map(classify_graph6, enumerate_graph6(args.n))
+    else:
+        facts = ({"graph6": emit_graph6(g), **classify_graph(g)} for g in _read_corpus(args.infile))
+    return "".join(json.dumps(f, sort_keys=True) + "\n" for f in facts)
 
 
 def _cmd_construct(args) -> str:
@@ -215,17 +215,19 @@ def _cmd_probe(args) -> str:
 
 
 def _cmd_verify(args) -> str:
+    # a corpus line may carry the header or the long form, so its graph6 is
+    # re-emitted; enumerated levels already hold canonical graph6
     if args.infile is not None:
-        graphs = _read_corpus(args.infile)
+        corpus = [(emit_graph6(g), g) for g in _read_corpus(args.infile)]
     else:
-        graphs = [
-            g for n in even_sizes(args.n_min, args.n_max) for g in enumerate_cubic(n)
-        ]
+        corpus = (
+            (g6, parse_graph6(g6))
+            for n in even_sizes(args.n_min, args.n_max) for g6 in enumerate_graph6(n)
+        )
     reports = []
     hard_failures = 0
     findings = 0
-    for g in graphs:
-        g6 = emit_graph6(g)
+    for g6, g in corpus:
         if not classify_connectivity(g).is_biconnected:
             continue
         entry: dict = {"graph6": g6}

@@ -286,6 +286,22 @@ def _check_member(rec: ConstructionRecord, result: Graph) -> None:
             raise InvariantError(f"distance from root increased at vertex {v}")
 
 
+def _inserted(rec: ConstructionRecord, e: Edge, pairing: _Pairing) -> Graph:
+    """The augmented graph less e plus the pairing's two edges, built as one
+    validated ``Graph``. Only the rows of e's ends and the open nodes
+    change; ``_insertion_pairings`` keeps the new edges out of the graph."""
+    adj = list(rec.augmented.adj)
+    rows = {x: set(adj[x]) for x in (e.u, e.v, *rec.open_nodes)}
+    rows[e.u].discard(e.v)
+    rows[e.v].discard(e.u)
+    for a, b in pairing:
+        rows[a].add(b)
+        rows[b].add(a)
+    for x, row in rows.items():
+        adj[x] = tuple(sorted(row))
+    return Graph(len(adj), tuple(adj))
+
+
 def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     """Remove one cycle edge of the active side and join its endpoints to the
     two open nodes, yielding a connected cubic graph with the same single
@@ -295,9 +311,8 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     if reason is not None:
         raise InputError(f"{tuple(e)} {reason}")
     pairings = _insertion_pairings(rec, e)
-    reduced = remove_edges(rec.augmented, [e])
     if len(pairings) == 2:
-        result = add_edges(reduced, list(pairings[0]))
+        result = _inserted(rec, e, pairings[0])
         try:
             _check_member(rec, result)
             return result
@@ -306,7 +321,7 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
             # nodes, the id-order pairing can leave the root-open edges as
             # bridges; the flipped pairing then closes the cycles through them
             pass
-    result = add_edges(reduced, list(pairings[-1]))
+    result = _inserted(rec, e, pairings[-1])
     _check_member(rec, result)
     return result
 

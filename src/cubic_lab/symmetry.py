@@ -11,11 +11,15 @@ Sizes are capped because the census workloads this package targets
 never exceed a few dozen vertices and exactness matters more than
 asymptotics here.
 
-The starting partition groups vertices by ``_vertex_keys`` (degree, triangles,
-sorted BFS distances). Their sorted multiset is an isomorphism invariant of
-the whole graph, so ``isomorphic_pairs`` (and ``are_isomorphic`` through it)
-compares those first and runs the canonical search only on graphs whose
-keys tie; equal canonical graph6 bytes then decide each tied pair.
+The starting partition groups vertices by ``_vertex_keys``: degree,
+triangles, then the BFS layer sizes from the vertex, negated, and the
+count of vertices it cannot reach. They come from one bit-parallel pass
+over all vertices and order vertices exactly as (degree, triangles,
+sorted BFS distances) would (proof in ``_vertex_keys``). Their sorted
+multiset is an isomorphism invariant of the whole graph, so
+``isomorphic_pairs`` (and ``are_isomorphic`` through it) compares those
+first and runs the canonical search only on graphs whose keys tie; equal
+canonical graph6 bytes then decide each tied pair.
 Refinement keys a vertex by the sorted cell indices of its neighbors. The
 search skips subtrees that are images of earlier ones: two leaves with
 equal codes give an automorphism, and a child in the orbit of an explored
@@ -94,38 +98,64 @@ class CanonicalForm:
     labeling: tuple[int, ...]
 
 
-def _triangles(adj: Sequence[Sequence[int]], v: int) -> int:
-    nbrs = adj[v]
-    return sum(
-        1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-        if nbrs[j] in adj[nbrs[i]]
-    )
-
-
-def _distances(adj: Sequence[Sequence[int]], v: int) -> tuple[int, ...]:
-    """BFS distances from v in queue order (hence sorted), with n standing
-    in for every vertex v cannot reach."""
-    n = len(adj)
-    dist = [-1] * n
-    dist[v] = 0
-    queue = [v]
-    for x in queue:
-        dx = dist[x] + 1
-        for w in adj[x]:
-            if dist[w] < 0:
-                dist[w] = dx
-                queue.append(w)
-    return tuple([dist[x] for x in queue] + [n] * (n - len(queue)))
-
-
-def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple]:
+def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Cheap isomorphism-invariant vertex signatures on adjacency lists:
-    (degree, triangles through v, sorted BFS distances from v). They seed
-    the refinement."""
-    return [
-        (len(adj[v]), _triangles(adj, v), _distances(adj, v))
-        for v in range(len(adj))
-    ]
+    (degree, triangles through v, -s_1, ..., -s_D, u), where s_k is the
+    number of vertices at BFS distance k from v, D is the largest distance
+    reached and u is the number of vertices v cannot reach. They seed the
+    refinement.
+
+    One bit-parallel pass serves every vertex. ``nb[v]`` is v's neighbour
+    bitmask and ``reach[v]`` the set within distance k, grown one layer per
+    round for all vertices at once: reach'[v] = reach[v] | the OR of
+    reach[w] over v's neighbours w. A layer's size is the growth in
+    popcount, and a vertex whose reach stops growing has reached its whole
+    component. Triangles through v are the sum of |nb[a] & nb[v]| over v's
+    neighbours a, halved.
+
+    These keys order vertices exactly as (degree, triangles, sorted BFS
+    distances, with n standing in for every unreachable vertex) would.
+    Take two such distance tuples d, d' of one length n, with layer sizes
+    s, s'. If the sizes first differ at k and s_k > s'_k, d continues with
+    k where d' has a larger value, so d < d'; and -s_k < -s'_k. If s
+    stops at D while s' goes on, d has n at the position where d' has
+    D + 1, so d' < d; and -s'_{D+1} < 0 <= u. If s = s', then u = u'
+    (the sizes and u add up to n), and d = d'. So the keys and the
+    distance tuples agree on <, = and >, on one graph and across graphs
+    with equal n.
+    """
+    n = len(adj)
+    nb = [0] * n
+    for v, nbrs in enumerate(adj):
+        for w in nbrs:
+            nb[v] |= 1 << w
+    keys = []
+    for v, nbrs in enumerate(adj):
+        triangles = sum([(nb[a] & nb[v]).bit_count() for a in nbrs]) // 2
+        keys.append([len(nbrs), triangles, -len(nbrs)] if nbrs else [0, 0])
+    reach = [nb[v] | 1 << v for v in range(n)]
+    size = [len(nbrs) + 1 for nbrs in adj]
+    # a vertex that reaches all n needs no further round
+    growing = [v for v in range(n) if 1 < size[v] < n]
+    while growing:
+        grown = reach[:]
+        still = []
+        for v in growing:
+            r = reach[v]
+            for w in adj[v]:
+                r |= reach[w]
+            if r != reach[v]:
+                c = r.bit_count()
+                keys[v].append(size[v] - c)
+                size[v] = c
+                grown[v] = r
+                if c < n:
+                    still.append(v)
+        reach = grown
+        growing = still
+    for v in range(n):
+        keys[v].append(n - size[v])
+    return [tuple(k) for k in keys]
 
 
 def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]]:

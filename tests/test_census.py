@@ -358,6 +358,19 @@ class TestBridgeTreeProbe:
         assert row.rhs_count == 1
         assert row.injection_possible == (row.lhs_count <= row.rhs_count)
 
+    def test_probe_table_parses_each_level_once(self, monkeypatch):
+        # row n reads level n + 2 for its lhs and level n for its rhs; a
+        # level two rows share is parsed once. The levels are generated
+        # first, since the generator parses its parents too
+        for n in range(4, 11, 2):
+            enumerate_graph6(n)
+        parsed = []
+        original = census.parse_graph6
+        monkeypatch.setattr(census, "parse_graph6", lambda g6: parsed.append(g6) or original(g6))
+        rows = census.probe_table(4, 8)
+        assert sorted(parsed) == sorted(g6 for n in range(4, 11, 2) for g6 in enumerate_graph6(n))
+        assert rows == [conjecture_probe(n) for n in (4, 6, 8)]
+
     def test_probe_csv(self):
         text = table_csv(ConjectureProbeRow, [conjecture_probe(10)])
         lines = text.strip().split("\n")

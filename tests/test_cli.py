@@ -152,6 +152,22 @@ class TestCensusProbeVerify:
         assert doc["checked"] >= 1
         assert all(g["side_all_edges_on_cycles"] for g in doc["graphs"])
 
+    def test_enumerated_classes_print_the_level_strings(self, capsys, monkeypatch):
+        # the levels already hold canonical graph6; only --in corpora,
+        # whose lines may carry a header, are re-emitted
+        from cubic_lab import cli
+        from cubic_lab.census import enumerate_graph6
+
+        def refuse(g):
+            raise AssertionError(f"re-emitted {g}")
+
+        monkeypatch.setattr(cli, "emit_graph6", refuse)
+        code, out, _ = run(capsys, "classify", "--n", "8")
+        assert code == 0
+        assert [json.loads(line)["graph6"] for line in out.splitlines()] == list(enumerate_graph6(8))
+        code, out, _ = run(capsys, "verify-lemmas", "--n-max", "8")
+        assert code == 0 and json.loads(out)["checked"] >= 1
+
     def test_census_jobs_below_one_exits_1(self, capsys):
         code, out, err = run(capsys, "census", "--n-min", "4", "--n-max", "6", "--jobs", "0")
         assert code == 1 and out == ""

@@ -25,6 +25,7 @@ from oracles import (
     oracle_distinct_cycle_edges,
     oracle_edge_orbits,
     oracle_isomorphic,
+    oracle_vertex_keys,
 )
 
 
@@ -72,6 +73,75 @@ class TestCanonicalForm:
 
 def _cube():
     return build_graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
+
+
+def _comparisons(keys):
+    """How each key compares with each key: -1, 0 or 1 per ordered pair."""
+    return [[(a > b) - (a < b) for b in keys] for a in keys]
+
+
+class TestVertexKeysMatchDistanceOracle:
+    """The layer-size keys must order vertices exactly as the oracle's
+    (degree, triangles, sorted BFS distances) keys do: every vertex pair of
+    a graph compares the same way, and graphs with equal n have equal
+    sorted keys under one exactly when they do under the other."""
+
+    def _check(self, graphs):
+        ours = [symmetry._vertex_keys(g.adj) for g in graphs]
+        theirs = [oracle_vertex_keys(g) for g in graphs]
+        for g, a, b in zip(graphs, ours, theirs):
+            assert _comparisons(a) == _comparisons(b), g
+        tied = {}
+        for i, g in enumerate(graphs):
+            tied.setdefault(g.n, []).append(i)
+        for same_n in tied.values():
+            for i, j in combinations(same_n, 2):
+                assert (sorted(ours[i]) == sorted(ours[j])) == (
+                    sorted(theirs[i]) == sorted(theirs[j])), (graphs[i], graphs[j])
+
+    def test_every_class_up_to_12_and_relabelings(self):
+        from cubic_lab.census import enumerate_cubic
+
+        rng = random.Random(31)
+        graphs = []
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                graphs.append(g)
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    graphs.append(relabel(g, perm))
+        self._check(graphs)
+
+    def test_induced_subgraphs(self):
+        # unreachable vertices are where layer counts and distance tuples
+        # differ most: disconnected pieces, isolated vertices, and paths
+        # whose layers are a prefix of another vertex's
+        from cubic_lab.census import enumerate_cubic
+        from cubic_lab.graphs import is_connected
+
+        rng = random.Random(37)
+        graphs = []
+        for n in range(4, 13, 2):
+            for g in enumerate_cubic(n):
+                for _ in range(3):
+                    keep = [v for v in range(n) if rng.random() < 0.6]
+                    graphs.append(induced_subgraph(g, keep)[0])
+        assert any(not is_connected(g) for g in graphs)
+        assert any(0 in map(len, g.adj) for g in graphs)
+        self._check(graphs)
+
+    def test_unions_of_key_alike_graphs(self):
+        rng = random.Random(41)
+        graphs = []
+        for a, b in [("K??Z@PP`d_X?", "K??i``Hacg[?"), ("I??ysr_w?", "I??ysr_w?")]:
+            union = _union(a, b)
+            for _ in range(2):
+                perm = list(range(union.n))
+                rng.shuffle(perm)
+                graphs.append(relabel(union, perm))
+        graphs += [parse_graph6("K??Z@PP`d_X?"), parse_graph6("K??i``Hacg[?")]
+        self._check(graphs)
 
 
 class TestCanonicalFormMatchesUnprunedSearch:
