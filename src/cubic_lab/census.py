@@ -184,8 +184,9 @@ def _children(g: Graph) -> set[bytes]:
     uncached: a labeled child is never looked up again, and caching it
     would only evict ``canonical_form`` entries that are."""
     n = g.n
+    edges = g.edges()
     pairs = [
-        (e, f) for e, f in combinations(g.edges(), 2)
+        (e, f) for e, f in combinations(edges, 2)
         if e.u not in f and e.v not in f
     ]
 
@@ -194,7 +195,7 @@ def _children(g: Graph) -> set[bytes]:
         return (e, f) if e < f else (f, e)
 
     generators = _search(g)[1]
-    _check_automorphisms(g, generators)
+    _check_automorphisms(edges, generators)
     roots = _orbit_roots(pairs, generators, image)
     forms: set[bytes] = set()
     for i, ((p, q), (r, s)) in enumerate(pairs):

@@ -13,7 +13,8 @@ it, and applies the matching two-vertex removal:
                         reconnect their hanging neighbors
   complete tree      -> no removal applies; the state is reported instead
 
-Each case's precondition is stated once, in ``_refusal``.
+Each case's precondition is stated once, in ``_refusal``, and each
+removal once, in ``reduce_case``.
 ``classify_region`` tries the region's triangles, then its diamonds, then
 its edges, each sorted by vertex tuple, and takes the first candidate
 ``_refusal`` accepts.
@@ -35,7 +36,7 @@ naming the graph and the region.
 Each step must leave the graph connected, cubic, and bridge, exactly two
 vertices smaller, with no surviving side vertex farther from the root than
 before. Violations raise InvariantError with the broken constraint named,
-as does a ``reduce_*`` step handed a case ``_refusal`` rejects: that is a
+as does ``reduce_case`` handed a case ``_refusal`` rejects: that is a
 classifier bug, never silent.
 
 Region selection mirrors the census work this supports: with k distinct
@@ -51,8 +52,8 @@ need m >= 4, that is k >= 1024; tests reach it by supplying k by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Iterable, Optional, Sequence, Union
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
@@ -131,22 +132,25 @@ def build_reducible_state(rec: ConstructionRecord, e: Edge) -> ReducibleState:
 
 @dataclass(frozen=True)
 class IsolatedTriangle:
+    name: ClassVar[str] = "isolated-triangle"
     triangle: tuple[int, int, int]
 
 
 @dataclass(frozen=True)
 class AdjacentTriangles:
+    name: ClassVar[str] = "adjacent-triangles"
     diamond: tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class HorizontalEdge:
+    name: ClassVar[str] = "horizontal-edge"
     edge: Edge
 
 
 @dataclass(frozen=True)
 class CompleteTree:
-    pass
+    name: ClassVar[str] = "complete-tree"
 
 
 RegionCase = Union[IsolatedTriangle, AdjacentTriangles, HorizontalEdge, CompleteTree]
@@ -300,81 +304,20 @@ def classify_region(st: ReducibleState, region: frozenset[int]) -> RegionCase:
 
 
 # ---------------------------------------------------------------------------
-# the three structural two-vertex removals, on cases ``_refusal`` accepts
+# the two-vertex removal, on cases ``_refusal`` accepts
 # ---------------------------------------------------------------------------
 
-def _contract_triangle(g: Graph, triangle: tuple[int, int, int]) -> tuple[Graph, dict[int, int], int]:
-    """Replace a triangle by one vertex joined to the three outside
-    neighbors. Returns (graph, survivor remap, new vertex id)."""
-    externals = _outside_neighbors(g, triangle)
-    shrunk, remap = remove_vertices(g, triangle)
-    hub = shrunk.n
-    result = add_edges(add_vertices(shrunk, 1), [(hub, remap[x]) for x in externals])
-    return result, remap, hub
+def _deepened(
+    st: ReducibleState, remap: dict[int, int], dist: Sequence[Optional[int]]
+) -> Optional[int]:
+    """A surviving side vertex (old id) that ``dist``, indexed by new ids,
+    puts farther from the root than before or out of reach; None if there
+    is none."""
+    return next((
+        v for v in st.side
+        if v in remap and (dist[remap[v]] is None or dist[remap[v]] > st.profile.dist[v])
+    ), None)
 
-
-def _stage_diamond_removal(
-    g: Graph,
-    diamond: tuple[int, int, int, int],
-    *,
-    keep_within: frozenset[int],
-) -> tuple[Graph, dict[int, int], int, int, list[Edge]]:
-    """Remove a diamond (two triangles sharing an edge), patch the two loose
-    ends with a new vertex, and hang a second, still-deficient vertex off it.
-
-    Returns (staged graph, survivor remap, patch vertex, second vertex, and
-    the cycle edges eligible for the finishing insertion, in canonical
-    order). Eligible edges join two survivors of the vertex set
-    ``keep_within`` (the working side of a state), so they never touch
-    either new vertex.
-    """
-    externals = _outside_neighbors(g, diamond)
-    shrunk, remap = remove_vertices(g, diamond)
-    patch = shrunk.n
-    second = shrunk.n + 1
-    staged = add_edges(
-        add_vertices(shrunk, 2),
-        [(patch, remap[externals[0]]), (patch, remap[externals[1]]), (patch, second)],
-    )
-    if not is_connected(staged):
-        raise InvariantError("patching the diamond left the graph disconnected")
-    kept = {remap[v] for v in keep_within if v in remap}
-    bridges = set(find_bridges(staged))
-    pool = sorted(
-        e for e in staged.edges()
-        if e not in bridges and e.u in kept and e.v in kept
-    )
-    if not pool:
-        raise InputError("no cycle edge available for the finishing insertion")
-    return staged, remap, patch, second, pool
-
-
-def _finish_diamond_splice(staged: Graph, second: int, consumed: Edge) -> Graph:
-    """Complete the splice: delete the chosen cycle edge and feed both of
-    its endpoints to the still-deficient second vertex."""
-    return add_edges(
-        remove_edges(staged, [consumed]),
-        [(consumed.u, second), (consumed.v, second)],
-    )
-
-
-def _excise_horizontal_pair(g: Graph, level_edge: Edge) -> tuple[Graph, dict[int, int]]:
-    """Delete both endpoints of an edge and rejoin each endpoint's two other
-    neighbors to each other. Returns (graph, survivor remap)."""
-    u, v = level_edge
-    rest_u = [w for w in g.adj[u] if w != v]
-    rest_v = [w for w in g.adj[v] if w != u]
-    shrunk, remap = remove_vertices(g, (u, v))
-    result = add_edges(shrunk, [
-        (remap[rest_u[0]], remap[rest_u[1]]),
-        (remap[rest_v[0]], remap[rest_v[1]]),
-    ])
-    return result, remap
-
-
-# ---------------------------------------------------------------------------
-# state-level reduction steps
-# ---------------------------------------------------------------------------
 
 def _next_state(
     st: ReducibleState,
@@ -401,61 +344,70 @@ def _next_state(
         {remap[v] for v in st.side if v in remap} | set(new_side_vertices)
     )
     nxt = make_reducible_state(result, new_root, new_side, new_bridge)
-    for v in st.side:
-        if v not in remap:
-            continue
-        before = st.profile.dist[v]
-        after = nxt.profile.dist[remap[v]]
-        if before is not None and (after is None or after > before):
-            raise InvariantError(
-                f"distance from the root increased at surviving vertex {v}"
-            )
+    deeper = _deepened(st, remap, nxt.profile.dist)
+    if deeper is not None:
+        raise InvariantError(
+            f"distance from the root increased at surviving vertex {deeper}"
+        )
     return nxt
 
 
-def _require(st: ReducibleState, case: RegionCase) -> None:
-    """A step only runs a case the classifier accepts, so a refused one is a
-    classifier bug."""
+def reduce_case(st: ReducibleState, case: RegionCase) -> ReducibleState:
+    """Apply the two-vertex removal that belongs to ``case`` (see the
+    module docstring). The classifier only proposes cases ``_refusal``
+    accepts, so a refused one, or a complete tree, is a classifier bug."""
+    if isinstance(case, CompleteTree):
+        raise InvariantError(f"{case} admits no two-vertex removal")
     reason = _refusal(st, case)
     if reason is not None:
         raise InvariantError(f"{case} {reason}")
-
-
-def reduce_isolated_triangle(st: ReducibleState, case: IsolatedTriangle) -> ReducibleState:
-    _require(st, case)
-    result, remap, hub = _contract_triangle(st.graph, case.triangle)
-    return _next_state(st, result, remap, (hub,))
-
-
-def reduce_adjacent_triangles(st: ReducibleState, case: AdjacentTriangles) -> ReducibleState:
-    _require(st, case)
-    staged, remap, patch, second, pool = _stage_diamond_removal(
-        st.graph, case.diamond, keep_within=st.side
+    g = st.graph
+    if isinstance(case, HorizontalEdge):
+        # both ends go; each end's other two neighbors are joined
+        u, v = case.edge
+        rests = [[w for w in g.adj[a] if w != b] for a, b in ((u, v), (v, u))]
+        shrunk, remap = remove_vertices(g, (u, v))
+        result = add_edges(shrunk, [(remap[a], remap[b]) for a, b in rests])
+        return _next_state(st, result, remap, ())
+    verts = case.triangle if isinstance(case, IsolatedTriangle) else case.diamond
+    exits = _outside_neighbors(g, verts)
+    shrunk, remap = remove_vertices(g, verts)
+    hub = shrunk.n
+    if isinstance(case, IsolatedTriangle):
+        # one hub vertex joins the three exits
+        result = add_edges(add_vertices(shrunk, 1), [(hub, remap[x]) for x in exits])
+        return _next_state(st, result, remap, (hub,))
+    # the hub patches the diamond's two exits and holds a second vertex,
+    # which then takes both ends of one side cycle edge
+    second = hub + 1
+    staged = add_edges(
+        add_vertices(shrunk, 2),
+        [(hub, remap[exits[0]]), (hub, remap[exits[1]]), (hub, second)],
     )
+    if not is_connected(staged):
+        raise InvariantError("patching the diamond left the graph disconnected")
+    kept = {remap[v] for v in st.side if v in remap}
+    bridges = set(find_bridges(staged))
+    pool = sorted(
+        e for e in staged.edges()
+        if e not in bridges and e.u in kept and e.v in kept
+    )
+    if not pool:
+        raise InputError("no cycle edge available for the finishing insertion")
     # an arbitrary cycle edge may carry shortest paths whose loss pushes a
     # vertex deeper; take the first candidate (canonical order) that keeps
     # every surviving distance in check, so the step's guarantees all hold
-    new_root = remap[st.root]
-    new_side = {remap[v] for v in st.side if v in remap} | {patch, second}
     for consumed in pool:
-        result = _finish_diamond_splice(staged, second, consumed)
-        after = bfs_distances(result, new_root, within=new_side)
-        ok = all(
-            after.dist[remap[v]] is not None
-            and after.dist[remap[v]] <= st.profile.dist[v]
-            for v in st.side if v in remap
+        result = add_edges(
+            remove_edges(staged, [consumed]),
+            [(consumed.u, second), (consumed.v, second)],
         )
-        if ok:
-            return _next_state(st, result, remap, (patch, second))
+        after = bfs_distances(result, remap[st.root], within=kept | {hub, second})
+        if _deepened(st, remap, after.dist) is None:
+            return _next_state(st, result, remap, (hub, second))
     raise InputError(
         "no finishing cycle edge preserves the distance guarantee for this diamond"
     )
-
-
-def reduce_horizontal_edge(st: ReducibleState, case: HorizontalEdge) -> ReducibleState:
-    _require(st, case)
-    result, remap = _excise_horizontal_pair(st.graph, case.edge)
-    return _next_state(st, result, remap, ())
 
 
 # ---------------------------------------------------------------------------
@@ -470,14 +422,6 @@ class CompleteTreeReport:
     region: tuple[int, ...]
     tree_size: int
     cycle_orbits: int
-
-    def to_dict(self) -> dict:
-        return {
-            "graph6": self.graph6,
-            "region": list(self.region),
-            "tree_size": self.tree_size,
-            "cycle_orbits": self.cycle_orbits,
-        }
 
 
 OUTCOME_GRAPH = "graph"
@@ -496,17 +440,8 @@ class ReductionOutcome:
         if self.graph is not None:
             out["graph6"] = emit_graph6(self.graph)
         if self.complete_tree is not None:
-            out["complete_tree"] = self.complete_tree.to_dict()
+            out["complete_tree"] = asdict(self.complete_tree)
         return out
-
-
-def _case_name(case: RegionCase) -> str:
-    return {
-        IsolatedTriangle: "isolated-triangle",
-        AdjacentTriangles: "adjacent-triangles",
-        HorizontalEdge: "horizontal-edge",
-        CompleteTree: "complete-tree",
-    }[type(case)]
 
 
 def reduce_step(st: ReducibleState) -> tuple[Optional[ReducibleState], RegionCase, frozenset[int]]:
@@ -514,22 +449,8 @@ def reduce_step(st: ReducibleState) -> tuple[Optional[ReducibleState], RegionCas
     region is a complete tree, the case, the region)."""
     region = nearest_region(st)
     case = classify_region(st, region)
-    if isinstance(case, CompleteTree):
-        return None, case, region
-    if isinstance(case, IsolatedTriangle):
-        return reduce_isolated_triangle(st, case), case, region
-    if isinstance(case, AdjacentTriangles):
-        return reduce_adjacent_triangles(st, case), case, region
-    return reduce_horizontal_edge(st, case), case, region
-
-
-def _tree_report(st: ReducibleState, region: frozenset[int]) -> CompleteTreeReport:
-    return CompleteTreeReport(
-        graph6=emit_graph6(st.graph),
-        region=tuple(sorted(region)),
-        tree_size=len(region),
-        cycle_orbits=st.side_cycle_orbits,
-    )
+    nxt = None if isinstance(case, CompleteTree) else reduce_case(st, case)
+    return nxt, case, region
 
 
 def reduce_from_state(st: ReducibleState, target_n: int) -> ReductionOutcome:
@@ -538,11 +459,13 @@ def reduce_from_state(st: ReducibleState, target_n: int) -> ReductionOutcome:
     steps: list[str] = []
     while st.graph.n > target_n:
         nxt, case, region = reduce_step(st)
-        steps.append(_case_name(case))
+        steps.append(case.name)
         if nxt is None:
-            return ReductionOutcome(
-                OUTCOME_COMPLETE_TREE, None, _tree_report(st, region), tuple(steps)
+            report = CompleteTreeReport(
+                emit_graph6(st.graph), tuple(sorted(region)), len(region),
+                st.side_cycle_orbits,
             )
+            return ReductionOutcome(OUTCOME_COMPLETE_TREE, None, report, tuple(steps))
         st = nxt
     return ReductionOutcome(OUTCOME_GRAPH, st.graph, None, tuple(steps))
 

@@ -324,13 +324,16 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return bool(isomorphic_pairs((g, h)))
 
 
-def _check_automorphisms(g: Graph, perms: Sequence[Sequence[int]], root: Optional[int] = None) -> None:
+def _check_automorphisms(
+    edges: Sequence[Edge], perms: Sequence[Sequence[int]], root: Optional[int] = None
+) -> None:
     """Raise InvariantError unless every permutation the search recorded
-    maps the edge set onto itself (and fixes the root, when one is given)."""
-    edges = set(g.edges())
+    maps the graph's edges onto themselves (and fixes the root, when one
+    is given)."""
+    edge_set = set(edges)
     for gamma in perms:
         image = {(min(gamma[u], gamma[w]), max(gamma[u], gamma[w])) for u, w in edges}
-        if image != edges or (root is not None and gamma[root] != root):
+        if image != edge_set or (root is not None and gamma[root] != root):
             raise InvariantError("canonical search recorded a non-automorphism")
 
 
@@ -348,7 +351,7 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ((),)
     _, generators = _search(g)
-    _check_automorphisms(g, generators)
+    _check_automorphisms(g.edges(), generators)
     identity = tuple(range(n))
     group = {identity}
     queue = [identity]
@@ -396,8 +399,8 @@ def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...],
     if g.n > CANON_MAX_N:
         raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
     generators = _search(g, root)[1] if g.n else []
-    _check_automorphisms(g, generators, root)
     edges = g.edges()
+    _check_automorphisms(edges, generators, root)
     roots = _orbit_roots(edges, generators, lambda gamma, e: edge(gamma[e.u], gamma[e.v]))
     # edges come sorted and a class's root is its least index, so orbits
     # form sorted, in the order of their least edges

@@ -20,21 +20,16 @@ from cubic_lab.reduction import (
     HorizontalEdge,
     IsolatedTriangle,
     OUTCOME_COMPLETE_TREE,
-    _contract_triangle,
-    _excise_horizontal_pair,
-    _finish_diamond_splice,
+    _deepened,
     _refusal,
-    _stage_diamond_removal,
     build_reducible_state,
     classify_region,
     int_fifth_root,
     make_reducible_state,
     nearest_region,
     nearest_vertices,
-    reduce_adjacent_triangles,
+    reduce_case,
     reduce_from_state,
-    reduce_horizontal_edge,
-    reduce_isolated_triangle,
     reduce_step,
     reduce_to_n,
 )
@@ -99,12 +94,12 @@ def dumbbell_state(dumbbell):
     return make_reducible_state(dumbbell, 4, frozenset(range(5)), edge(4, 9))
 
 
-def assert_refused(st, case, reason, step):
-    """``_refusal`` names the reason, and the step treats the case as a
-    classifier bug."""
+def assert_refused(st, case, reason):
+    """``_refusal`` names the reason, and ``reduce_case`` treats the case as
+    a classifier bug."""
     assert reason in _refusal(st, case)
     with pytest.raises(InvariantError, match=re.escape(reason)):
-        step(st, case)
+        reduce_case(st, case)
 
 
 def ladder_dumbbell():
@@ -270,24 +265,35 @@ class TestClassifyRegion:
 
 
 class TestContractTriangle:
-    def test_prism_becomes_k4(self, prism, k4):
-        out, remap, hub = _contract_triangle(prism, (0, 1, 2))
-        assert out.n == 4 and is_cubic(out)
-        assert are_isomorphic(out, k4)
-        assert hub == 3 and remap == {3: 0, 4: 1, 5: 2}
+    def test_prism_becomes_k4(self, dumbbell):
+        # the side is a prism with its rung 8-11 subdivided by the root 5;
+        # contracting the triangle {6,7,8} leaves a K4 with one subdivided
+        # edge, so the whole graph becomes the dumbbell
+        edges = half_k4(0) + [(4, 5), (5, 8), (5, 11)]
+        edges += [(6, 7), (6, 8), (7, 8), (9, 10), (9, 11), (10, 11), (6, 9), (7, 10)]
+        g = build_graph(12, edges)
+        st = make_reducible_state(g, 5, frozenset(range(5, 12)), edge(4, 5))
+        nxt = reduce_case(st, IsolatedTriangle((6, 7, 8)))
+        assert nxt.graph.n == 10 and is_cubic(nxt.graph)
+        assert are_isomorphic(nxt.graph, dumbbell)
+        # survivors keep their order (9, 10, 11 become 6, 7, 8) and the hub
+        # 9 joins the three exits: the root 5 and the old 9, 10
+        hub = 9
+        assert sorted(nxt.graph.adj[hub]) == [5, 6, 7]
+        assert hub in nxt.side
 
     def test_dumbbell_triangle_rejected(self, dumbbell):
         # {0,1,2} sits in a diamond: 0 and 1 both exit to vertex 3
         assert_refused(
             dumbbell_state(dumbbell), IsolatedTriangle((0, 1, 2)),
-            "outside edges that share an end", reduce_isolated_triangle,
+            "outside edges that share an end",
         )
 
     def test_not_a_triangle(self):
         # 6-8 and 8-12 are edges, 6-12 is not
         assert_refused(
             state(triangle_tower), IsolatedTriangle((6, 8, 12)),
-            "is not a triangle", reduce_isolated_triangle,
+            "is not a triangle",
         )
 
 
@@ -296,45 +302,45 @@ class TestSpliceAdjacentTriangles:
         # both tips 2 and 3 exit to the root 4, whose third edge is the bridge
         assert_refused(
             dumbbell_state(dumbbell), AdjacentTriangles((0, 1, 2, 3)),
-            "outside edges that share an end", reduce_adjacent_triangles,
+            "outside edges that share an end",
         )
 
     def test_valid_diamond_shrinks_by_two(self):
-        g, root, side, bridge = diamond_stalk()
-        staged, remap, patch, second, pool = _stage_diamond_removal(
-            g, (6, 8, 9, 10), keep_within=side
-        )
-        out = _finish_diamond_splice(staged, second, pool[0])
+        nxt = reduce_case(state(diamond_stalk), AdjacentTriangles((6, 8, 9, 10)))
+        out = nxt.graph
         assert out.n == 12 and is_cubic(out)
         assert find_bridges(out)  # still a bridge graph
+        # the ten survivors keep ids 0-9; the patch is 10, the second 11
+        patch, second = 10, 11
         assert out.has_edge(patch, second)
         assert out.degree(second) == 3
+        assert {patch, second} <= nxt.side
 
     def test_not_a_diamond(self):
         # {6,8,9,12} induces the triangle {6,8,9} and the edge 8-12: 4 edges
         assert_refused(
             state(triangle_tower), AdjacentTriangles((6, 8, 9, 12)),
-            "is not a diamond", reduce_adjacent_triangles,
+            "is not a diamond",
         )
 
 
 class TestExciseHorizontalPair:
     def test_figure_pattern(self):
-        # far1-mid1-close1 | far2-mid2-close2 with the mid rung removed:
-        # mids vanish, far1 joins close1 and far2 joins close2
-        g = build_graph(8, [(0, 1), (1, 2), (3, 4), (4, 5), (1, 4),
-                            (0, 6), (2, 6), (3, 7), (5, 7), (6, 7)])
-        out, remap = _excise_horizontal_pair(g, edge(1, 4))
-        assert out.n == 6
-        assert out.has_edge(remap[0], remap[2])
-        assert out.has_edge(remap[3], remap[5])
-        assert not out.has_edge(remap[0], remap[3])
+        # 8-12-10 | 9-13-11 with the depth-3 rung 12-13 removed: 12 and 13
+        # vanish (the survivors keep their ids), 8 joins 10 and 9 joins 11,
+        # never across, and the tower becomes the triangle ladder
+        nxt = reduce_case(state(triangle_tower), HorizontalEdge(edge(12, 13)))
+        out = nxt.graph
+        assert out.n == 12
+        assert out.has_edge(8, 10) and out.has_edge(9, 11)
+        assert not out.has_edge(8, 11) and not out.has_edge(9, 10)
+        assert are_isomorphic(out, triangle_ladder()[0])
 
     def test_shared_neighbor_rejected(self):
         # 8 and 9 are both adjacent to 6: excising them would double 6-12
         assert_refused(
             state(triangle_tower), HorizontalEdge(edge(8, 9)),
-            "share neighbor(s) [6]", reduce_horizontal_edge,
+            "share neighbor(s) [6]",
         )
 
     def test_adjacent_companions_rejected(self):
@@ -342,7 +348,7 @@ class TestExciseHorizontalPair:
         # 6 and 9 are already adjacent: rejoining them would double 6-9
         assert_refused(
             state(triangle_ladder), HorizontalEdge(edge(8, 10)),
-            "other neighbors [6, 9] are already adjacent", reduce_horizontal_edge,
+            "other neighbors [6, 9] are already adjacent",
         )
 
 
@@ -353,14 +359,14 @@ class TestStateReductions:
         assert region == frozenset({5, 6, 7, 8, 9, 10, 11})
         case = classify_region(st, region)
         assert case == IsolatedTriangle((6, 8, 9))
-        nxt = reduce_isolated_triangle(st, case)
+        nxt = reduce_case(st, case)
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
 
     def test_adjacent_triangles_step(self):
         g, root, side, bridge = diamond_stalk()
         st = make_reducible_state(g, root, side, bridge)
         case = AdjacentTriangles((6, 8, 9, 10))
-        nxt = reduce_adjacent_triangles(st, case)
+        nxt = reduce_case(st, case)
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
         assert find_bridges(nxt.graph)
 
@@ -368,7 +374,7 @@ class TestStateReductions:
         g, root, side, bridge = triangle_tower()
         st = make_reducible_state(g, root, side, bridge)
         # 12 and 13 share depth 3, no common neighbor, companions apart
-        nxt = reduce_horizontal_edge(st, HorizontalEdge(edge(12, 13)))
+        nxt = reduce_case(st, HorizontalEdge(edge(12, 13)))
         assert nxt.graph.n == 12 and is_cubic(nxt.graph)
 
     def test_reduce_step_reaches_adjacent_triangles(self):
@@ -387,14 +393,50 @@ class TestStateReductions:
     def test_horizontal_depth_mismatch_rejected(self):
         assert_refused(
             state(triangle_tower), HorizontalEdge(edge(5, 6)),
-            "joins depths 0 and 1", reduce_horizontal_edge,
+            "joins depths 0 and 1",
         )
+
+    def test_complete_tree_rejected(self):
+        with pytest.raises(InvariantError, match="admits no two-vertex removal"):
+            reduce_case(state(triangle_tower), CompleteTree())
 
     def test_off_side_feature_rejected(self):
         assert_refused(
             state(triangle_tower), IsolatedTriangle((0, 1, 2)),
-            "does not lie on the working side", reduce_isolated_triangle,
+            "does not lie on the working side",
         )
+
+
+class TestDeepened:
+    """``_deepened`` reads new-id distances through the survivor remap."""
+
+    def setup_method(self):
+        # vertex 6 is removed; every later survivor moves down one id
+        self.st = state(triangle_tower)
+        self.remap = {v: v - (v > 6) for v in range(14) if v != 6}
+        self.dist = [self.st.profile.dist[v] for v in sorted(self.remap)]
+
+    def test_same_distances(self):
+        assert _deepened(self.st, self.remap, self.dist) is None
+
+    def test_closer_survivor(self):
+        self.dist[self.remap[12]] = 1
+        assert _deepened(self.st, self.remap, self.dist) is None
+
+    def test_farther_survivor(self):
+        self.dist[self.remap[12]] += 1
+        assert _deepened(self.st, self.remap, self.dist) == 12
+
+    def test_unreachable_survivor(self):
+        self.dist[self.remap[8]] = None
+        assert _deepened(self.st, self.remap, self.dist) == 8
+
+    def test_removed_and_off_side_vertices_are_ignored(self):
+        # 0 lies off the side, and 12 leaves the remap as if removed:
+        # neither is a surviving side vertex, whatever its distance
+        self.dist[self.remap[0]] = 99
+        self.dist[self.remap.pop(12)] = 99
+        assert _deepened(self.st, self.remap, self.dist) is None
 
 
 class TestPipeline:
@@ -411,6 +453,8 @@ class TestPipeline:
         assert outcome.kind == OUTCOME_COMPLETE_TREE
         assert outcome.complete_tree is not None
         assert outcome.complete_tree.tree_size == len(outcome.complete_tree.region)
+        # the step names come from the case types
+        assert (case.name, *outcome.steps) == ("isolated-triangle", "complete-tree")
         payload = outcome.to_dict()
         assert payload["kind"] == "complete-tree"
         assert payload["complete_tree"]["cycle_orbits"] == 6 ** 5
@@ -444,7 +488,7 @@ class TestPipeline:
     def test_distance_monotonicity_holds_and_can_shrink(self):
         g, root, side, bridge = triangle_tower()
         st = make_reducible_state(g, root, side, bridge)
-        nxt = reduce_isolated_triangle(st, IsolatedTriangle((6, 8, 9)))
+        nxt = reduce_case(st, IsolatedTriangle((6, 8, 9)))
         assert nxt.graph.n == g.n - 2
         # the reducer raises InvariantError on any distance increase; spot
         # check a vertex that actually got closer: 12 sat at depth 3 and is
