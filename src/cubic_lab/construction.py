@@ -27,15 +27,13 @@ from .graphs import (
     DistanceProfile,
     Edge,
     Graph,
-    add_edges,
-    add_vertices,
     bfs_distances,
     edge,
+    edit_graph,
     emit_graph6,
     induced_subgraph,
     is_connected,
     is_cubic,
-    remove_edges,
 )
 from .symmetry import (
     MODE_FULL,
@@ -130,12 +128,11 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
     far2, near2 = split(bb.e2)
     n = g.n
     anchor, root, open1, open2 = n, n + 1, n + 2, n + 3
-    augmented = add_vertices(remove_edges(g, [bb.e1, bb.e2]), 4)
-    augmented = add_edges(augmented, [
+    augmented = edit_graph(g, new_vertices=4, remove=(bb.e1, bb.e2), add=(
         (far1, anchor), (far2, anchor), (anchor, root),
         (near1, open1), (root, open1),
         (near2, open2), (root, open2),
-    ])
+    ))
     active_side = frozenset(active) | {root, open1, open2}
 
     if augmented.n != g.n + 4:
@@ -286,22 +283,6 @@ def _check_member(rec: ConstructionRecord, result: Graph) -> None:
             raise InvariantError(f"distance from root increased at vertex {v}")
 
 
-def _inserted(rec: ConstructionRecord, e: Edge, pairing: _Pairing) -> Graph:
-    """The augmented graph less e plus the pairing's two edges, built as one
-    validated ``Graph``. Only the rows of e's ends and the open nodes
-    change; ``_insertion_pairings`` keeps the new edges out of the graph."""
-    adj = list(rec.augmented.adj)
-    rows = {x: set(adj[x]) for x in (e.u, e.v, *rec.open_nodes)}
-    rows[e.u].discard(e.v)
-    rows[e.v].discard(e.u)
-    for a, b in pairing:
-        rows[a].add(b)
-        rows[b].add(a)
-    for x, row in rows.items():
-        adj[x] = tuple(sorted(row))
-    return Graph(len(adj), tuple(adj))
-
-
 def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
     """Remove one cycle edge of the active side and join its endpoints to the
     two open nodes, yielding a connected cubic graph with the same single
@@ -312,7 +293,7 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
         raise InputError(f"{tuple(e)} {reason}")
     pairings = _insertion_pairings(rec, e)
     if len(pairings) == 2:
-        result = _inserted(rec, e, pairings[0])
+        result = edit_graph(rec.augmented, remove=(e,), add=pairings[0])
         try:
             _check_member(rec, result)
             return result
@@ -321,7 +302,7 @@ def cycle_insertion(rec: ConstructionRecord, e: Edge) -> Graph:
             # nodes, the id-order pairing can leave the root-open edges as
             # bridges; the flipped pairing then closes the cycles through them
             pass
-    result = _inserted(rec, e, pairings[-1])
+    result = edit_graph(rec.augmented, remove=(e,), add=pairings[-1])
     _check_member(rec, result)
     return result
 
@@ -333,7 +314,7 @@ def join_open_nodes(rec: ConstructionRecord) -> Graph:
     already touches the open-node cluster, so it stands in for orbits that
     have no insertable representative.
     """
-    result = add_edges(rec.augmented, [rec.open_nodes])
+    result = edit_graph(rec.augmented, add=(rec.open_nodes,))
     _check_member(rec, result)
     return result
 

@@ -1,10 +1,13 @@
 """Immutable simple-graph values, graph6/edge-list codecs, and BFS.
 
-Vertices are dense 0-based ids. Deleting vertices compacts the ids and hands
-back a remap, so stable identity across a transformation lives in the remap,
-never in the ids themselves. Adjacency is stored sorted and every operation
-returns a new graph, which keeps iteration orders (and therefore everything
-built on top) reproducible.
+Vertices are dense 0-based ids. Every edit that keeps the ids is one call of
+``edit_graph``: append isolated vertices, delete edges, add edges, with one
+validated graph built per call. Only ``remove_vertices`` and
+``induced_subgraph`` compact the ids; they hand back a remap, so stable
+identity across a transformation lives in the remap, never in the ids
+themselves (``relabel`` permutes them). Adjacency is stored sorted and every
+operation returns a new graph, which keeps iteration orders (and therefore
+everything built on top) reproducible.
 """
 
 from __future__ import annotations
@@ -80,6 +83,10 @@ class Graph:
         return f"Graph(n={self.n}, edges={[tuple(e) for e in self.edges()]})"
 
 
+def _graph_from_sets(nbrs: Sequence[set[int]]) -> Graph:
+    return Graph(len(nbrs), tuple(tuple(sorted(s)) for s in nbrs))
+
+
 def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
     """Build a validated Graph from a vertex count and edge pairs.
 
@@ -97,44 +104,40 @@ def build_graph(n: int, edges: Iterable[Sequence[int]]) -> Graph:
             raise InputError(f"edge ({a},{b}) is a self-loop")
         nbrs[a].add(b)
         nbrs[b].add(a)
-    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))
+    return _graph_from_sets(nbrs)
 
 
-def _graph_from_sets(nbrs: Sequence[set[int]]) -> Graph:
-    return Graph(len(nbrs), tuple(tuple(sorted(s)) for s in nbrs))
-
-
-def add_vertices(g: Graph, count: int) -> Graph:
-    """Return g with ``count`` new isolated vertices appended."""
-    if count < 0:
+def edit_graph(
+    g: Graph, *, new_vertices: int = 0,
+    remove: Iterable[Sequence[int]] = (), add: Iterable[Sequence[int]] = (),
+) -> Graph:
+    """Return g with ``new_vertices`` isolated vertices appended (ids g.n
+    onward), the ``remove`` edges deleted, then the ``add`` edges added, as
+    one validated Graph that copies only the touched rows. Removing a
+    missing edge or adding an existing one is an InputError."""
+    if new_vertices < 0:
         raise InputError("cannot add a negative number of vertices")
-    return Graph(g.n + count, g.adj + ((),) * count)
-
-
-def add_edges(g: Graph, pairs: Iterable[Sequence[int]]) -> Graph:
-    """Return g plus the given edges; adding an existing edge is an error."""
-    nbrs = [set(a) for a in g.adj]
-    for a, b in pairs:
+    n = g.n + new_vertices
+    adj = list(g.adj) + [()] * new_vertices
+    remove, add = tuple(remove), tuple(add)
+    rows = {x: set(adj[x]) for pair in (*remove, *add) for x in pair if 0 <= x < n}
+    for a, b in remove:
         e = edge(a, b)
-        if not (0 <= e.u < g.n and 0 <= e.v < g.n):
-            raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{g.n})")
-        if e.v in nbrs[e.u]:
-            raise InputError(f"edge ({e.u},{e.v}) already present")
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
-    return _graph_from_sets(nbrs)
-
-
-def remove_edges(g: Graph, pairs: Iterable[Sequence[int]]) -> Graph:
-    """Return g minus the given edges; removing a missing edge is an error."""
-    nbrs = [set(a) for a in g.adj]
-    for a, b in pairs:
-        e = edge(a, b)
-        if not (0 <= e.u < g.n and 0 <= e.v < g.n) or e.v not in nbrs[e.u]:
+        if not (0 <= e.u < n and 0 <= e.v < n) or e.v not in rows[e.u]:
             raise InputError(f"edge ({a},{b}) not present")
-        nbrs[e.u].discard(e.v)
-        nbrs[e.v].discard(e.u)
-    return _graph_from_sets(nbrs)
+        rows[e.u].discard(e.v)
+        rows[e.v].discard(e.u)
+    for a, b in add:
+        e = edge(a, b)
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
+        if e.v in rows[e.u]:
+            raise InputError(f"edge ({e.u},{e.v}) already present")
+        rows[e.u].add(e.v)
+        rows[e.v].add(e.u)
+    for x, nbrs in rows.items():
+        adj[x] = tuple(sorted(nbrs))
+    return Graph(n, tuple(adj))
 
 
 def remove_vertices(g: Graph, drop: Iterable[int]) -> tuple[Graph, dict[int, int]]:

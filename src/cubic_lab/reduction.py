@@ -61,15 +61,13 @@ from .graphs import (
     DistanceProfile,
     Edge,
     Graph,
-    add_edges,
-    add_vertices,
     bfs_distances,
     edge,
+    edit_graph,
     emit_graph6,
     induced_subgraph,
     is_connected,
     is_cubic,
-    remove_edges,
     remove_vertices,
 )
 from .symmetry import distinct_cycle_edges
@@ -108,6 +106,15 @@ def make_reducible_state(
         raise InputError(f"{tuple(bridge)} is not a bridge of the graph")
     if root not in side or root not in (bridge.u, bridge.v):
         raise InputError("root must be the bridge endpoint inside the side")
+    return _assemble_state(graph, root, side, bridge, side_cycle_orbits)
+
+
+def _assemble_state(
+    graph: Graph, root: int, side: frozenset[int], bridge: Edge, side_cycle_orbits: Optional[int]
+) -> ReducibleState:
+    """The BFS within the side, which must reach all of it, and k >= 1
+    (computed when not supplied); the caller has checked graph, root and
+    bridge."""
     profile = bfs_distances(graph, root, within=side)
     if any(profile.dist[v] is None for v in side):
         raise InputError("side is not internally connected from the root")
@@ -343,7 +350,7 @@ def _next_state(
     new_side = frozenset(
         {remap[v] for v in st.side if v in remap} | set(new_side_vertices)
     )
-    nxt = make_reducible_state(result, new_root, new_side, new_bridge)
+    nxt = _assemble_state(result, new_root, new_side, new_bridge, None)
     deeper = _deepened(st, remap, nxt.profile.dist)
     if deeper is not None:
         raise InvariantError(
@@ -367,7 +374,7 @@ def reduce_case(st: ReducibleState, case: RegionCase) -> ReducibleState:
         u, v = case.edge
         rests = [[w for w in g.adj[a] if w != b] for a, b in ((u, v), (v, u))]
         shrunk, remap = remove_vertices(g, (u, v))
-        result = add_edges(shrunk, [(remap[a], remap[b]) for a, b in rests])
+        result = edit_graph(shrunk, add=[(remap[a], remap[b]) for a, b in rests])
         return _next_state(st, result, remap, ())
     verts = case.triangle if isinstance(case, IsolatedTriangle) else case.diamond
     exits = _outside_neighbors(g, verts)
@@ -375,15 +382,14 @@ def reduce_case(st: ReducibleState, case: RegionCase) -> ReducibleState:
     hub = shrunk.n
     if isinstance(case, IsolatedTriangle):
         # one hub vertex joins the three exits
-        result = add_edges(add_vertices(shrunk, 1), [(hub, remap[x]) for x in exits])
+        result = edit_graph(shrunk, new_vertices=1, add=[(hub, remap[x]) for x in exits])
         return _next_state(st, result, remap, (hub,))
     # the hub patches the diamond's two exits and holds a second vertex,
     # which then takes both ends of one side cycle edge
     second = hub + 1
-    staged = add_edges(
-        add_vertices(shrunk, 2),
-        [(hub, remap[exits[0]]), (hub, remap[exits[1]]), (hub, second)],
-    )
+    staged = edit_graph(shrunk, new_vertices=2, add=[
+        (hub, remap[exits[0]]), (hub, remap[exits[1]]), (hub, second),
+    ])
     if not is_connected(staged):
         raise InvariantError("patching the diamond left the graph disconnected")
     kept = {remap[v] for v in st.side if v in remap}
@@ -398,10 +404,9 @@ def reduce_case(st: ReducibleState, case: RegionCase) -> ReducibleState:
     # vertex deeper; take the first candidate (canonical order) that keeps
     # every surviving distance in check, so the step's guarantees all hold
     for consumed in pool:
-        result = add_edges(
-            remove_edges(staged, [consumed]),
-            [(consumed.u, second), (consumed.v, second)],
-        )
+        result = edit_graph(staged, remove=(consumed,), add=(
+            (consumed.u, second), (consumed.v, second),
+        ))
         after = bfs_distances(result, remap[st.root], within=kept | {hub, second})
         if _deepened(st, remap, after.dist) is None:
             return _next_state(st, result, remap, (hub, second))

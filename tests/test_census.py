@@ -22,9 +22,9 @@ from cubic_lab.connectivity import find_bridges
 from cubic_lab.errors import InputError
 from cubic_lab.graphs import (
     Graph,
-    add_edges,
     build_graph,
     edge,
+    edit_graph,
     emit_graph6,
     is_connected,
     is_cubic,
@@ -100,7 +100,7 @@ def _insertion_reductions(g):
         for matching in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
             if any(g.has_edge(u, w) for u, w in matching):
                 continue
-            h = add_edges(rest, [(remap[u], remap[w]) for u, w in matching])
+            h = edit_graph(rest, add=[(remap[u], remap[w]) for u, w in matching])
             if is_connected(h) and is_cubic(h):
                 found.append((x, y, matching))
     return found

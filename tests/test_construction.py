@@ -21,12 +21,12 @@ from cubic_lab.construction import (
 from cubic_lab.errors import InputError
 from cubic_lab.graphs import (
     edge,
+    edit_graph,
     emit_graph6,
     induced_subgraph,
     is_cubic,
     parse_graph6,
     relabel,
-    remove_edges,
 )
 from cubic_lab.symmetry import (
     MODE_FULL,
@@ -158,7 +158,7 @@ class TestCycleCover:
             if open1 in e and rec.root not in e
         )
         broken = dataclasses.replace(
-            rec, augmented=remove_edges(rec.augmented, [anchor_edge])
+            rec, augmented=edit_graph(rec.augmented, remove=[anchor_edge])
         )
         assert not active_side_bridgeless(broken)
 

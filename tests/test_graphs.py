@@ -5,10 +5,12 @@ from hypothesis import given, strategies as st
 
 from cubic_lab.errors import Graph6ParseError, InputError, InvariantError
 from cubic_lab.graphs import (
+    Edge,
     Graph,
     bfs_distances,
     build_graph,
     edge,
+    edit_graph,
     emit_edgelist,
     emit_graph6,
     induced_subgraph,
@@ -156,6 +158,63 @@ class TestRemoveVertices:
         assert remap == {1: 0, 2: 1, 4: 2, 5: 3, 6: 4, 7: 5}
         assert g.has_edge(remap[1], remap[2])
         assert not g.has_edge(remap[4], remap[7])
+
+
+class TestEditGraph:
+    def test_missing_edge_removed_rejected(self, path3):
+        with pytest.raises(InputError, match=r"edge \(2,0\) not present"):
+            edit_graph(path3, remove=[(2, 0)])
+
+    def test_existing_edge_added_rejected(self, path3):
+        with pytest.raises(InputError, match=r"edge \(0,1\) already present"):
+            edit_graph(path3, add=[(1, 0)])
+
+    def test_endpoint_out_of_range_rejected(self, path3):
+        for pair in ((0, 3), (-1, 2)):
+            with pytest.raises(InputError, match=r"has an endpoint outside \[0,3\)"):
+                edit_graph(path3, add=[pair])
+            with pytest.raises(InputError, match="not present"):
+                edit_graph(path3, remove=[pair])
+
+    def test_self_loop_rejected(self, path3):
+        with pytest.raises(InputError, match=r"self-loop \(1,1\)"):
+            edit_graph(path3, add=[(1, 1)])
+        with pytest.raises(InputError, match=r"self-loop \(1,1\)"):
+            edit_graph(path3, remove=[(1, 1)])
+
+    def test_negative_new_vertices_rejected(self, path3):
+        with pytest.raises(InputError, match="cannot add a negative number of vertices"):
+            edit_graph(path3, new_vertices=-1)
+
+    def test_remove_then_add_same_edge_is_identity(self, d8):
+        assert edit_graph(d8, remove=[(1, 0)], add=[(0, 1)]) == d8
+
+    def test_new_vertex_ids_usable_in_add(self, k4):
+        g = edit_graph(k4, new_vertices=2, remove=[(0, 1)], add=[(0, 4), (4, 5), (5, 1)])
+        assert g.n == 6 and g.m == 8
+        assert g.adj[4] == (0, 5) and g.adj[5] == (1, 4)
+        assert not g.has_edge(0, 1)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=1, max_value=12))
+def test_edit_graph_matches_build_graph(seed, n):
+    # editing equals rebuilding from the edited edge list
+    rng = random.Random(seed)
+    g = random_graph(rng, n)
+    new = rng.randint(0, 3)
+    present = list(g.edges())
+    remove = rng.sample(present, rng.randint(0, len(present)))
+    kept = set(present) - set(remove)
+    absent = [
+        Edge(u, w) for u in range(n + new) for w in range(u + 1, n + new)
+        if Edge(u, w) not in kept
+    ]
+    add = rng.sample(absent, rng.randint(0, len(absent)))
+    edited = edit_graph(
+        g, new_vertices=new,
+        remove=[(w, u) for u, w in remove], add=[(w, u) for u, w in add],
+    )
+    assert edited == build_graph(n + new, sorted(kept | set(add)))
 
 
 class TestBfs:

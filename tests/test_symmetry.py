@@ -5,7 +5,7 @@ import pytest
 
 from cubic_lab import symmetry
 from cubic_lab.errors import InputError, InvariantError
-from cubic_lab.graphs import add_edges, build_graph, edge, induced_subgraph, parse_graph6, relabel
+from cubic_lab.graphs import build_graph, edge, edit_graph, induced_subgraph, parse_graph6, relabel
 from cubic_lab.symmetry import (
     CANON_MAX_N,
     GROUP_MAX_N,
@@ -425,7 +425,7 @@ class TestEdgeOrbitsPastGroupCap:
         rng = random.Random(8)
         graphs = [make_petersen_dumbbell()]
         for a, b in self.UNIONS:
-            graphs.append(add_edges(_union(a, b), [(0, parse_graph6(a).n)]))
+            graphs.append(edit_graph(_union(a, b), add=[(0, parse_graph6(a).n)]))
         for g in graphs:
             self._check_distinct(g)
             self._check_distinct(_breadth_first_relabeling(g, rng))
