@@ -91,7 +91,6 @@ from .graphs import (
     parse_graph6,
 )
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
-from .reduction import int_fifth_root, is_complete_tree, nearest_vertices
 from .symmetry import (
     _canonical_graph6,
     _check_automorphisms,
@@ -184,7 +183,8 @@ def _children(g: Graph) -> set[bytes]:
     uncached: a labeled child is never looked up again, and caching it
     would only evict ``canonical_form`` entries that are."""
     n = g.n
-    edges = g.edges()
+    _, generators, edges = _search(g)
+    _check_automorphisms(edges, generators)
     pairs = [
         (e, f) for e, f in combinations(edges, 2)
         if e.u not in f and e.v not in f
@@ -194,8 +194,6 @@ def _children(g: Graph) -> set[bytes]:
         e, f = (edge(gamma[u], gamma[v]) for u, v in pair)
         return (e, f) if e < f else (f, e)
 
-    generators = _search(g)[1]
-    _check_automorphisms(edges, generators)
     roots = _orbit_roots(pairs, generators, image)
     forms: set[bytes] = set()
     for i, ((p, q), (r, s)) in enumerate(pairs):
@@ -417,6 +415,10 @@ def _size_in_window(size: int, k: int) -> bool:
 def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
     """Check every bridge endpoint of a cubic bridge graph as a potential
     root of a complete-tree region on its own side."""
+    # imported here: only the probe needs ``reduction``, and loading it
+    # (with ``construction``) would cost every CLI start-up
+    from .reduction import int_fifth_root, is_complete_tree, nearest_vertices
+
     bridges = find_bridges(h)
     if not bridges:
         raise InputError("is_complete_tree_at_bridge requires a bridge graph")

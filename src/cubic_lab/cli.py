@@ -3,6 +3,11 @@
 All subcommands are deterministic: identical flags produce byte-identical
 output, including under --jobs parallelism (aggregation is order-free).
 Exit codes: 0 success, 1 bad input or usage, 2 broken internal invariant.
+
+``construction`` and ``reduction`` are imported inside the handlers that
+run them (``construct``, ``insert``, ``reduce``, ``verify-lemmas``), and the
+census probe imports ``reduction`` for ``probe``, so ``enumerate``,
+``classify`` and ``census`` never load either.
 """
 
 from __future__ import annotations
@@ -26,14 +31,6 @@ from .census import (
     table_csv,
 )
 from .connectivity import classify_connectivity
-from .construction import (
-    active_side_bridgeless,
-    bridge_construct,
-    depth_bound_report,
-    insertable_edges,
-    insertion_family,
-    record_to_dict,
-)
 from .errors import InputError, InvariantError
 from .graphs import (
     Graph,
@@ -44,7 +41,6 @@ from .graphs import (
     parse_graph6,
     parse_graph6_lines,
 )
-from .reduction import reduce_to_n
 from .symmetry import MODE_FULL, MODE_STABILIZER
 
 
@@ -154,11 +150,15 @@ def _cmd_classify(args) -> str:
 
 
 def _cmd_construct(args) -> str:
+    from .construction import bridge_construct, record_to_dict
+
     rec = bridge_construct(_read_graph(args.infile))
     return _json(record_to_dict(rec))
 
 
 def _cmd_insert(args) -> str:
+    from .construction import bridge_construct, insertion_family, record_to_dict
+
     rec = bridge_construct(_read_graph(args.infile))
     fam = insertion_family(rec, mode=args.orbit_mode)
     if args.format == "json":
@@ -186,6 +186,9 @@ def _cmd_insert(args) -> str:
 
 
 def _cmd_reduce(args) -> str:
+    from .construction import bridge_construct, insertable_edges
+    from .reduction import reduce_to_n
+
     rec = bridge_construct(_read_graph(args.infile))
     if args.edge is not None:
         chosen = edge(args.edge[0], args.edge[1])
@@ -215,6 +218,8 @@ def _cmd_probe(args) -> str:
 
 
 def _cmd_verify(args) -> str:
+    from .construction import active_side_bridgeless, bridge_construct, depth_bound_report
+
     # a corpus line may carry the header or the long form, so its graph6 is
     # re-emitted; enumerated levels already hold canonical graph6
     if args.infile is not None:

@@ -63,12 +63,15 @@ class ConnectivityClass:
         return "three-connected"
 
 
-def _cycle_labels(g: Graph) -> Optional[dict[Edge, int]]:
+def _cycle_labels(g: Graph) -> Optional[dict[tuple[int, int], int]]:
     """Cycle-space label of every edge, or None when g is disconnected.
 
-    One iterative DFS from vertex 0 builds the tree; then every non-tree edge
-    takes the next bit, and tree edges are filled in reverse preorder, each
-    child's subtree XOR folding into its parent's.
+    Labels are keyed by plain ``(u, w)`` pairs with u < w, which hash and
+    compare like the ``Edge`` of the same pair; callers build an ``Edge``
+    only for an edge they return. One iterative DFS from vertex 0 builds
+    the tree; then every non-tree edge takes the next bit, and tree edges
+    are filled in reverse preorder, each child's subtree XOR folding into
+    its parent's.
     """
     n = g.n
     adj = g.adj
@@ -93,19 +96,19 @@ def _cycle_labels(g: Graph) -> Optional[dict[Edge, int]]:
     if len(order) != n:
         return None
     inc = [0] * n  # XOR of the bits of the non-tree edges at each vertex
-    labels: dict[Edge, int] = {}
+    labels: dict[tuple[int, int], int] = {}
     bit = 1
     for u in range(n):
         for w in adj[u]:
             if u < w and parent[w] != u and parent[u] != w:
-                labels[Edge(u, w)] = bit
+                labels[u, w] = bit
                 inc[u] ^= bit
                 inc[w] ^= bit
                 bit <<= 1
     for v in reversed(order):
         p = parent[v]
         if p != -1:
-            labels[Edge(p, v) if p < v else Edge(v, p)] = inc[v]
+            labels[(p, v) if p < v else (v, p)] = inc[v]
             inc[p] ^= inc[v]
     return labels
 
@@ -115,7 +118,7 @@ def find_bridges(g: Graph) -> tuple[Edge, ...]:
     labels = _cycle_labels(g)
     if labels is None:
         raise InputError("find_bridges requires a connected graph")
-    return tuple(sorted(e for e, label in labels.items() if not label))
+    return tuple(sorted(Edge(*e) for e, label in labels.items() if not label))
 
 
 def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
@@ -131,14 +134,16 @@ def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     labels = _cycle_labels(g)
     if labels is None:
         raise InputError("two_edge_cuts requires a connected graph")
-    groups: dict[int, list[Edge]] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
     for e, label in labels.items():
         if not label:
             raise InputError("two_edge_cuts requires a bridgeless graph")
         groups.setdefault(label, []).append(e)
     cuts: list[BiBridge] = []
     for group in groups.values():
-        for e1, e2 in combinations(sorted(group), 2):
+        if len(group) < 2:
+            continue
+        for e1, e2 in combinations(sorted(Edge(*e) for e in group), 2):
             removed = {e1, e2}
             side_a = component_of(g, 0, removed)
             side_b = frozenset(range(g.n)) - side_a

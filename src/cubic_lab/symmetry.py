@@ -197,10 +197,14 @@ def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[i
     return cells
 
 
-def _search(g: Graph, root: Optional[int] = None) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+def _search(
+    g: Graph, root: Optional[int] = None
+) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[Edge, ...]]:
     """The individualization-refinement search on a graph with n >= 1:
     the labeling (old id -> new id) of the first leaf reaching the least
-    code, and the automorphisms recorded at leaves with equal codes. With a
+    code, the automorphisms recorded at leaves with equal codes, and
+    ``g.edges()``, which the leaf codes read, so that a caller that needs
+    the edges too lists them once per search. With a
     root, the search starts with the root split out of its key cell as a
     singleton placed first, so every recorded automorphism fixes it and
     together they generate its stabilizer (module docstring). No cap and no
@@ -278,7 +282,7 @@ def _search(g: Graph, root: Optional[int] = None) -> tuple[tuple[int, ...], list
 
     visit(start, path)
     assert best_labeling is not None
-    return best_labeling, automorphisms
+    return best_labeling, automorphisms, edges
 
 
 def _canonical_graph6(g: Graph, labeling: Sequence[int]) -> bytes:
@@ -296,7 +300,7 @@ def canonical_form(g: Graph) -> CanonicalForm:
         raise InputError(f"canonical_form supports at most {CANON_MAX_N} vertices")
     if g.n == 0:
         return CanonicalForm(b"?", ())
-    labeling, _ = _search(g)
+    labeling = _search(g)[0]
     return CanonicalForm(_canonical_graph6(g, labeling), labeling)
 
 
@@ -350,8 +354,8 @@ def automorphism_group(g: Graph) -> tuple[tuple[int, ...], ...]:
     n = g.n
     if n == 0:
         return ((),)
-    _, generators = _search(g)
-    _check_automorphisms(g.edges(), generators)
+    _, generators, edges = _search(g)
+    _check_automorphisms(edges, generators)
     identity = tuple(range(n))
     group = {identity}
     queue = [identity]
@@ -398,8 +402,7 @@ def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...],
         raise InputError(f"vertex {root} out of range")
     if g.n > CANON_MAX_N:
         raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
-    generators = _search(g, root)[1] if g.n else []
-    edges = g.edges()
+    _, generators, edges = _search(g, root) if g.n else ((), [], ())
     _check_automorphisms(edges, generators, root)
     roots = _orbit_roots(edges, generators, lambda gamma, e: edge(gamma[e.u], gamma[e.v]))
     # edges come sorted and a class's root is its least index, so orbits

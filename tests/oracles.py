@@ -1,6 +1,7 @@
 """Brute-force oracles, kept deliberately independent of the library's
 algorithms: edge/pair deletion for cuts, perfect matchings with a connected
-complement for Hamiltonicity, permutation scans for isomorphism
+complement for cubic Hamiltonicity and a scan of every vertex order for
+Hamiltonicity of any graph, permutation scans for isomorphism
 and automorphisms, exhaustive labeled generation, a second (orderly,
 canonical-matrix) generator for cross-checking the enumerator, the
 unpruned canonical-form search with its vertex keys, the vertex-image
@@ -57,6 +58,21 @@ def oracle_is_hamiltonian(g: Graph) -> bool:
         return False
 
     return g.n > 0 and extend()
+
+
+def oracle_hamiltonian_by_permutations(g: Graph) -> bool:
+    """Hamiltonicity of any graph by scanning every vertex order that starts
+    at vertex 0: the graph is Hamiltonian iff some order has each vertex
+    adjacent to the next and the last adjacent to vertex 0. Needs no degree,
+    cubicity or connectivity assumption."""
+    if g.n < 3:
+        return False
+    nbrs = [set(row) for row in g.adj]
+    for rest in permutations(range(1, g.n)):
+        order = (0, *rest)
+        if all(order[i + 1] in nbrs[order[i]] for i in range(g.n - 1)) and 0 in nbrs[order[-1]]:
+            return True
+    return False
 
 
 def _component_count(g: Graph, banned_edges: set) -> int:

@@ -1,7 +1,12 @@
+import json
+import random
+from itertools import combinations
+
 import pytest
 
+from cubic_lab.cli import main
 from cubic_lab.errors import InputError
-from cubic_lab.graphs import build_graph
+from cubic_lab.graphs import build_graph, emit_graph6, is_connected
 from cubic_lab.hamilton import (
     CERT_BRIDGE,
     CERT_CYCLE,
@@ -9,6 +14,7 @@ from cubic_lab.hamilton import (
     has_hamiltonian_cycle,
     verify_hamiltonian_cycle,
 )
+from oracles import oracle_hamiltonian_by_permutations
 
 
 class TestSolver:
@@ -92,3 +98,95 @@ class TestShortcutSoundness:
             res = has_hamiltonian_cycle(g)
             if res.is_hamiltonian:
                 assert verify_hamiltonian_cycle(g, res.witness)
+
+
+def _prism(k: int):
+    """The prism C_k x K2: outer cycle 0..k-1, inner cycle k..2k-1, spokes."""
+    return build_graph(2 * k, [
+        *((i, (i + 1) % k) for i in range(k)),
+        *((k + i, k + (i + 1) % k) for i in range(k)),
+        *((i, k + i) for i in range(k)),
+    ])
+
+
+class TestLongPaths:
+    # the search keeps its own stack, so a path longer than Python's
+    # recursion limit is no error
+    def test_1200_vertex_prism(self):
+        g = _prism(600)
+        res = has_hamiltonian_cycle(g)
+        assert res.certificate_kind == CERT_CYCLE
+        assert verify_hamiltonian_cycle(g, res.witness)
+
+    def test_1200_vertex_prism_through_the_cli(self, tmp_path, capsys):
+        path = tmp_path / "prism.g6"
+        path.write_text(emit_graph6(_prism(600)) + "\n")
+        code = main(["classify", "--in", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        facts = json.loads(out)
+        assert facts["certificate"] == "cycle-found" and facts["n"] == 1200
+        assert '"certificate": "cycle-found"' in out
+
+
+def _labelled_connected_graphs(n: int):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        g = build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+        if is_connected(g):
+            yield g
+
+
+def _random_connected(rng: random.Random, vertices: list[int], density: float):
+    """A random tree on ``vertices`` plus each other pair with probability
+    ``density``, as edge pairs."""
+    order = vertices[:]
+    rng.shuffle(order)
+    edges = {tuple(sorted((v, rng.choice(order[:i])))) for i, v in enumerate(order) if i}
+    edges |= {p for p in combinations(sorted(vertices), 2) if rng.random() < density}
+    return edges
+
+
+def _random_cases(seed: int):
+    """Seeded connected graphs on 6 to 9 vertices: plain ones, ones with
+    vertex 0 pendant and ones with another vertex pendant."""
+    rng = random.Random(seed)
+    for n in range(6, 10):
+        for pendant in (None, 0, rng.randrange(1, n)):
+            for _ in range(8):
+                rest = [v for v in range(n) if v != pendant]
+                edges = _random_connected(rng, rest, rng.uniform(0.2, 0.8))
+                if pendant is not None:
+                    edges.add(tuple(sorted((pendant, rng.choice(rest)))))
+                yield build_graph(n, edges)
+
+
+class TestPermutationOracle:
+    # the search replaces its root scan by a degree check, and these inputs
+    # are not cubic, so degrees below 2 and pendant vertices occur
+    def _check(self, g):
+        res = has_hamiltonian_cycle(g)
+        assert res.is_hamiltonian == oracle_hamiltonian_by_permutations(g), g
+        if res.is_hamiltonian:
+            assert res.witness[0] == 0 and verify_hamiltonian_cycle(g, res.witness), g
+        else:
+            assert res.witness is None and res.certificate_kind == CERT_EXHAUSTED
+
+    def test_every_connected_labelled_graph_on_3_to_5_vertices(self):
+        checked = hamiltonian = 0
+        for n in (3, 4, 5):
+            for g in _labelled_connected_graphs(n):
+                self._check(g)
+                checked += 1
+                hamiltonian += has_hamiltonian_cycle(g).is_hamiltonian
+        assert checked == 4 + 38 + 728  # OEIS A001187
+        assert 0 < hamiltonian < checked
+
+    def test_seeded_random_graphs_on_6_to_9_vertices(self):
+        graphs = list(_random_cases(18))
+        pendant_zero = [g for g in graphs if len(g.adj[0]) == 1]
+        assert len(graphs) == 96 and len(pendant_zero) >= 32
+        verdicts = [has_hamiltonian_cycle(g).is_hamiltonian for g in graphs]
+        assert 0 < sum(verdicts) < len(graphs)
+        for g in graphs:
+            self._check(g)

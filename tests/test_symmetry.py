@@ -373,8 +373,8 @@ class TestAutomorphismGroupMatchesBacktracker:
         search = symmetry._search
 
         def with_bogus_generator(g):
-            labeling, generators = search(g)
-            return labeling, generators + [(1, 0, 2)]  # sends (1, 2) to (0, 2)
+            labeling, generators, edges = search(g)
+            return labeling, generators + [(1, 0, 2)], edges  # sends (1, 2) to (0, 2)
 
         monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
         with pytest.raises(InvariantError):
@@ -500,15 +500,15 @@ class TestStabilizerSearch:
                 cf = canonical_form(g)
                 assert symmetry._search(g, 0)[0] == cf.labeling, g
                 for root in range(g.n):
-                    labeling, _ = symmetry._search(g, root)
+                    labeling = symmetry._search(g, root)[0]
                     assert symmetry._canonical_graph6(g, labeling) == cf.graph6, (g, root)
 
     def test_non_automorphism_generator_raises(self, monkeypatch, path3):
         search = symmetry._search
 
         def with_bogus_generator(g, root=None):
-            labeling, generators = search(g, root)
-            return labeling, generators + [(1, 0, 2)]  # fixes 2, sends (1, 2) to (0, 2)
+            labeling, generators, edges = search(g, root)
+            return labeling, generators + [(1, 0, 2)], edges  # fixes 2, sends (1, 2) to (0, 2)
 
         monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
         with pytest.raises(InvariantError):
@@ -520,8 +520,8 @@ class TestStabilizerSearch:
         search = symmetry._search
 
         def with_root_moved(g, root=None):
-            labeling, generators = search(g, root)
-            return labeling, generators + [(2, 1, 0)]  # an automorphism
+            labeling, generators, edges = search(g, root)
+            return labeling, generators + [(2, 1, 0)], edges  # an automorphism
 
         monkeypatch.setattr(symmetry, "_search", with_root_moved)
         assert len(edge_orbits(path3)) == 1
