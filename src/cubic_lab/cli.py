@@ -117,7 +117,7 @@ def _read_graph(path: str) -> Graph:
     return parse_graph6(stripped.splitlines()[0])
 
 
-def _read_corpus(path: str) -> list[Graph]:
+def _read_corpus(path: str) -> list[tuple[str, Graph]]:
     return parse_graph6_lines(Path(path).read_text())
 
 
@@ -145,7 +145,7 @@ def _cmd_classify(args) -> str:
     if args.n is not None:
         facts = map(classify_graph6, enumerate_graph6(args.n))
     else:
-        facts = ({"graph6": emit_graph6(g), **classify_graph(g)} for g in _read_corpus(args.infile))
+        facts = ({"graph6": g6, **classify_graph(g)} for g6, g in _read_corpus(args.infile))
     return "".join(json.dumps(f, sort_keys=True) + "\n" for f in facts)
 
 
@@ -220,10 +220,8 @@ def _cmd_probe(args) -> str:
 def _cmd_verify(args) -> str:
     from .construction import active_side_bridgeless, bridge_construct, depth_bound_report
 
-    # a corpus line may carry the header or the long form, so its graph6 is
-    # re-emitted; enumerated levels already hold canonical graph6
     if args.infile is not None:
-        corpus = [(emit_graph6(g), g) for g in _read_corpus(args.infile)]
+        corpus = _read_corpus(args.infile)
     else:
         corpus = (
             (g6, parse_graph6(g6))

@@ -8,11 +8,22 @@ identity across a transformation lives in the remap, never in the ids
 themselves (``relabel`` permutes them). Adjacency is stored sorted and every
 operation returns a new graph, which keeps iteration orders (and therefore
 everything built on top) reproducible.
+
+The graph6 codec (McKay's format) works a character at a time. The parser
+skips each ``?`` (six clear bits), looks up the set bits of every other
+character in a 64-entry table, and turns pair index i into (u, v) with
+``isqrt``; the emitter starts from a body of ``?`` and adds one bit per
+edge. ``_graph6_bytes`` writes any rows, so canonical forms are written
+straight from a labeling without building the relabeled graph. Input may
+carry the ``>>graph6<<`` header and the four-character size field for any
+n; output never has the header and uses the long size field only from
+n = 63 on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Graph6ParseError, InputError, InvariantError
@@ -181,28 +192,34 @@ def induced_subgraph(g: Graph, subset: Iterable[int]) -> tuple[Graph, dict[int, 
 # graph6 codec
 # ---------------------------------------------------------------------------
 
-def emit_graph6(g: Graph) -> str:
-    """Encode a graph as one graph6 line (no header, no newline)."""
-    n = g.n
+# _SET_BITS[x]: offsets 0-5 (most significant first) of the set bits of
+# the 6-bit value x that a graph6 body character carries as chr(x + 63)
+_SET_BITS = tuple(tuple(j for j in range(6) if x >> (5 - j) & 1) for x in range(64))
+
+
+def _graph6_bytes(n: int, rows: Sequence[Iterable[int]]) -> bytearray:
+    """Size field and body of the n-vertex graph in which ``rows[v]`` holds
+    v's neighbors, in any order. Each edge sets its bit from its larger end."""
     if n <= 62:
-        head = chr(n + 63)
+        out = bytearray((n + 63,))
     elif n <= 258047:
-        head = "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
+        out = bytearray((126, (n >> 12) + 63, (n >> 6 & 0x3F) + 63, (n & 0x3F) + 63))
     else:
         raise InputError(f"graph6 encoding not supported for n={n}")
-    bits: list[int] = []
-    for v in range(1, n):
-        row = g.adj[v]
-        for u in range(v):
-            bits.append(1 if u in row else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = "".join(
-        chr((bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
-             | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63)
-        for i in range(0, len(bits), 6)
-    )
-    return head + body
+    at = len(out)
+    out += b"?" * ((n * (n - 1) // 2 + 5) // 6)
+    for v, row in enumerate(rows):
+        base = v * (v - 1) >> 1
+        for u in row:
+            if u < v:
+                i = base + u
+                out[at + i // 6] += 32 >> i % 6
+    return out
+
+
+def emit_graph6(g: Graph) -> str:
+    """Encode a graph as one graph6 line (no header, no newline)."""
+    return _graph6_bytes(g.n, g.adj).decode("ascii")
 
 
 def parse_graph6(text: str) -> Graph:
@@ -216,9 +233,10 @@ def parse_graph6(text: str) -> Graph:
         data = data[10:]
         if not data:
             raise Graph6ParseError("graph6 header with no body", 10)
-    for i, ch in enumerate(data):
-        if not 63 <= ord(ch) <= 126:
-            raise Graph6ParseError(f"byte {ord(ch)} outside graph6 alphabet", i)
+    if min(data) < "?" or max(data) > "~":
+        for i, ch in enumerate(data):
+            if not 63 <= ord(ch) <= 126:
+                raise Graph6ParseError(f"byte {ord(ch)} outside graph6 alphabet", i)
     if data[0] == "~":
         if len(data) >= 2 and data[1] == "~":
             raise Graph6ParseError("graphs beyond 258047 vertices unsupported", 0)
@@ -241,27 +259,37 @@ def parse_graph6(text: str) -> Graph:
         )
     if len(body) > need:
         raise Graph6ParseError("trailing bytes after adjacency data", offset0 + need)
-    bits: list[int] = []
-    for ch in body:
-        x = ord(ch) - 63
-        bits.extend((x >> 5 & 1, x >> 4 & 1, x >> 3 & 1, x >> 2 & 1, x >> 1 & 1, x & 1))
-    for j in range(nbits, len(bits)):
-        if bits[j]:
-            raise Graph6ParseError("nonzero padding bits", offset0 + j // 6)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                nbrs[u].add(v)
-                nbrs[v].add(u)
-            i += 1
-    return _graph_from_sets(nbrs)
+    # pair i is (u, v) with v(v-1)/2 + u = i and u < v; pairs arrive in
+    # increasing i, so every row fills in ascending order
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for k, x in enumerate(body.encode("ascii")):
+        if x == 63:
+            continue
+        for j in _SET_BITS[x - 63]:
+            i = 6 * k + j
+            if i >= nbits:
+                raise Graph6ParseError("nonzero padding bits", offset0 + k)
+            v = (isqrt(8 * i + 1) + 1) >> 1
+            u = i - (v * (v - 1) >> 1)
+            rows[u].append(v)
+            rows[v].append(u)
+    return Graph(n, tuple(map(tuple, rows)))
 
 
-def parse_graph6_lines(text: str) -> list[Graph]:
-    """Parse a graph6 corpus: one graph per line, blank lines ignored."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]
+def parse_graph6_lines(text: str) -> list[tuple[str, Graph]]:
+    """Parse a graph6 corpus: one graph per line, blank lines ignored.
+
+    Each graph comes with its normal-form graph6: the line itself when it
+    has no header and a one-character size field (or n >= 63 needs the long
+    one), else the graph re-emitted."""
+    pairs = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        g = parse_graph6(line)
+        normal = not line.startswith(">>graph6<<") and (line[0] != "~" or g.n > 62)
+        pairs.append((line if normal else emit_graph6(g), g))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +359,21 @@ def bfs_distances(g: Graph, root: int, within: Optional[Iterable[int]] = None) -
 
 
 def is_connected(g: Graph) -> bool:
+    """Whether every vertex is reached from vertex 0 (true for n = 0)."""
     if g.n == 0:
         return True
-    return sum(d is not None for d in bfs_distances(g, 0).dist) == g.n
+    adj = g.adj
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == g.n
 
 
 def is_cubic(g: Graph) -> bool:

@@ -80,7 +80,7 @@ from typing import Optional, Sequence
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
-from .graphs import Edge, Graph, edge, emit_graph6, relabel
+from .graphs import Edge, Graph, _graph6_bytes, edge
 
 CANON_MAX_N = 24
 GROUP_MAX_N = 16
@@ -286,8 +286,12 @@ def _search(
 
 
 def _canonical_graph6(g: Graph, labeling: Sequence[int]) -> bytes:
-    """The graph6 bytes of g relabeled by the search's labeling."""
-    return emit_graph6(relabel(g, labeling)).encode("ascii")
+    """The graph6 bytes of g relabeled by the search's labeling, written
+    from g's rows without building the relabeled graph."""
+    rows: list[Sequence[int]] = [()] * g.n
+    for u, nbrs in enumerate(g.adj):
+        rows[labeling[u]] = [labeling[w] for w in nbrs]
+    return bytes(_graph6_bytes(g.n, rows))
 
 
 @lru_cache(maxsize=16384)

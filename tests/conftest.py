@@ -40,6 +40,21 @@ def prism() -> Graph:
                            (0, 3), (1, 4), (2, 5)])
 
 
+def make_prism(k: int) -> Graph:
+    """The prism C_k x K2: outer cycle 0..k-1, inner cycle k..2k-1, spokes."""
+    return build_graph(2 * k, [
+        *((i, (i + 1) % k) for i in range(k)),
+        *((k + i, k + (i + 1) % k) for i in range(k)),
+        *((i, k + i) for i in range(k)),
+    ])
+
+
+def long_form(g6: str) -> str:
+    """A short-form graph6 line respelled with the four-character size field."""
+    n = ord(g6[0]) - 63
+    return "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0)) + g6[1:]
+
+
 @pytest.fixture
 def d8() -> Graph:
     """Two diamonds tied tip-to-tip by a 2-edge-cut."""

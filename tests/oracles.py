@@ -6,15 +6,18 @@ and automorphisms, exhaustive labeled generation, a second (orderly,
 canonical-matrix) generator for cross-checking the enumerator, the
 unpruned canonical-form search with its vertex keys, the vertex-image
 automorphism backtracker, and the former saturation enumerator with its
-two filters. Only ``graphs`` (the graph value, its codec and
-BFS) is imported from the library."""
+two filters, and the per-bit graph6 codec (one list entry per vertex
+pair) that the library's character-at-a-time codec replaced. Only
+``graphs`` (the graph value, its codec and BFS) is imported from the
+library."""
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 from typing import Iterator
 
-from cubic_lab.graphs import Graph, bfs_distances, build_graph, edge, emit_graph6, relabel
+from cubic_lab.errors import Graph6ParseError, InputError
+from cubic_lab.graphs import Graph, bfs_distances, build_graph, edge, relabel
 
 
 def _connected_after(g: Graph, banned_edges: set, banned_vertices: set = frozenset()) -> bool:
@@ -394,7 +397,7 @@ def oracle_canonical_form(g: Graph) -> tuple:
             visit(cells[:target] + [[v], rest] + cells[target + 1:])
 
     visit(start)
-    return emit_graph6(relabel(g, best[1])).encode("ascii"), best[1]
+    return oracle_emit_graph6(relabel(g, best[1])).encode("ascii"), best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -588,3 +591,82 @@ def oracle_enumerate(n: int) -> list:
         g = build_graph(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
         forms.add(oracle_canonical_form(g)[0])
     return sorted(forms)
+
+
+def oracle_emit_graph6(g: Graph) -> str:
+    """graph6 line of g built from a list with one bit per vertex pair."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    elif n <= 258047:
+        head = "~" + "".join(chr(((n >> s) & 0x3F) + 63) for s in (12, 6, 0))
+    else:
+        raise InputError(f"graph6 encoding not supported for n={n}")
+    bits: list[int] = []
+    for v in range(1, n):
+        row = g.adj[v]
+        for u in range(v):
+            bits.append(1 if u in row else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = "".join(
+        chr((bits[i] << 5 | bits[i + 1] << 4 | bits[i + 2] << 3
+             | bits[i + 3] << 2 | bits[i + 4] << 1 | bits[i + 5]) + 63)
+        for i in range(0, len(bits), 6)
+    )
+    return head + body
+
+
+def oracle_parse_graph6(text: str) -> Graph:
+    """graph6 line decoded into a list with one bit per vertex pair, with
+    the library's error messages and byte offsets."""
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not text:
+        raise Graph6ParseError("empty graph6 input", 0)
+    data = text
+    if data.startswith(">>graph6<<"):
+        data = data[10:]
+        if not data:
+            raise Graph6ParseError("graph6 header with no body", 10)
+    for i, ch in enumerate(data):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6ParseError(f"byte {ord(ch)} outside graph6 alphabet", i)
+    if data[0] == "~":
+        if len(data) >= 2 and data[1] == "~":
+            raise Graph6ParseError("graphs beyond 258047 vertices unsupported", 0)
+        if len(data) < 4:
+            raise Graph6ParseError("truncated multi-byte vertex count", len(data))
+        n = 0
+        for ch in data[1:4]:
+            n = n << 6 | (ord(ch) - 63)
+        body = data[4:]
+        offset0 = 4
+    else:
+        n = ord(data[0]) - 63
+        body = data[1:]
+        offset0 = 1
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(body) < need:
+        raise Graph6ParseError(
+            f"body too short: need {need} bytes, have {len(body)}", offset0 + len(body)
+        )
+    if len(body) > need:
+        raise Graph6ParseError("trailing bytes after adjacency data", offset0 + need)
+    bits: list[int] = []
+    for ch in body:
+        x = ord(ch) - 63
+        bits.extend((x >> 5 & 1, x >> 4 & 1, x >> 3 & 1, x >> 2 & 1, x >> 1 & 1, x & 1))
+    for j in range(nbits, len(bits)):
+        if bits[j]:
+            raise Graph6ParseError("nonzero padding bits", offset0 + j // 6)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                nbrs[u].add(v)
+                nbrs[v].add(u)
+            i += 1
+    return Graph(n, tuple(tuple(sorted(s)) for s in nbrs))

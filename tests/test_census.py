@@ -200,8 +200,9 @@ class TestGeneration:
         enumerate_cubic(12)
         # levels stay graph6 strings: the 85 classes of the returned level
         # 12 parsed, 27 parents parsed for their children, and per accepted
-        # child (229, see above) the child and its canonical relabeling
-        assert built[0] == 85 + 27 + 2 * 229 == 570
+        # child (229, see above) the child alone, since its canonical bytes
+        # are written from the labeling (570 when the relabeling was built)
+        assert built[0] == 85 + 27 + 229 == 341
 
     def test_levels_are_sorted_graph6_strings(self, monkeypatch, capsys):
         from cubic_lab.cli import main

@@ -5,6 +5,8 @@ import pytest
 from cubic_lab.cli import main
 from cubic_lab.graphs import emit_graph6, parse_graph6
 
+from conftest import long_form
+
 
 @pytest.fixture
 def d8_file(tmp_path, d8):
@@ -228,6 +230,50 @@ class TestExitCodes:
         assert code == 0
         doc = json.loads(out)
         assert doc["checked"] == 1  # K4 is three-connected, skipped
+
+
+class TestCorpusLines:
+    # every corpus line prints in normal form; only a line with the header
+    # or a long size field below n = 63 is re-emitted to get there
+
+    @pytest.fixture
+    def spelled(self, tmp_path):
+        from cubic_lab.census import enumerate_graph6
+
+        level = [g6 for n in (6, 8, 10) for g6 in enumerate_graph6(n)]
+        spellings = (lambda g6: g6, lambda g6: ">>graph6<<" + g6, long_form)
+        lines = [spellings[i % 3](g6) for i, g6 in enumerate(level)]
+        path = tmp_path / "mixed.g6"
+        path.write_text("".join(line + "\n" for line in lines))
+        respelled = [parse_graph6(line) for i, line in enumerate(lines) if i % 3]
+        return str(path), level, respelled
+
+    @staticmethod
+    def _count_emits(monkeypatch):
+        import cubic_lab.graphs as graphs
+
+        emitted = []
+        monkeypatch.setattr(graphs, "emit_graph6", lambda g: emitted.append(g) or emit_graph6(g))
+        return emitted
+
+    def test_classify_prints_the_normal_form(self, capsys, monkeypatch, spelled):
+        path, level, respelled = spelled
+        emitted = self._count_emits(monkeypatch)
+        code, out, _ = run(capsys, "classify", "--in", path)
+        assert code == 0
+        assert [json.loads(line)["graph6"] for line in out.splitlines()] == level
+        assert emitted == respelled
+
+    def test_verify_lemmas_prints_the_normal_form(self, capsys, monkeypatch, spelled):
+        from cubic_lab.connectivity import classify_connectivity
+
+        path, level, respelled = spelled
+        emitted = self._count_emits(monkeypatch)
+        code, out, _ = run(capsys, "verify-lemmas", "--n-max", "4", "--in", path)
+        assert code == 0
+        checked = [g6 for g6 in level if classify_connectivity(parse_graph6(g6)).is_biconnected]
+        assert checked and [e["graph6"] for e in json.loads(out)["graphs"]] == checked
+        assert emitted == respelled
 
 
 class TestDeterminism:

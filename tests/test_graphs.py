@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cubic_lab.errors import Graph6ParseError, InputError, InvariantError
 from cubic_lab.graphs import (
@@ -18,8 +18,12 @@ from cubic_lab.graphs import (
     is_cubic,
     parse_edgelist,
     parse_graph6,
+    parse_graph6_lines,
     remove_vertices,
 )
+
+from conftest import long_form, make_prism
+from oracles import oracle_emit_graph6, oracle_parse_graph6
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
@@ -108,6 +112,70 @@ class TestGraph6:
         for _ in range(1000):
             g = random_graph(rng, rng.randint(0, 20))
             assert parse_graph6(emit_graph6(g)).adj == g.adj
+
+
+def _parse_outcome(parse, text: str):
+    try:
+        return parse(text)
+    except Graph6ParseError as exc:
+        return str(exc), exc.offset
+
+
+class TestGraph6AgainstPerBitOracle:
+    # the per-bit codec in oracles.py is the one this codec replaced
+
+    def test_seeded_random_graphs_up_to_70_vertices(self):
+        rng = random.Random(19)
+        for n in range(71):
+            for _ in range(4):
+                p = rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))
+                g = build_graph(n, [(u, w) for u in range(n) for w in range(u + 1, n)
+                                    if rng.random() < p])
+                text = emit_graph6(g)
+                assert text == oracle_emit_graph6(g)
+                assert text.startswith("~") == (n >= 63)
+                assert parse_graph6(text) == oracle_parse_graph6(text) == g
+
+    def test_1200_vertex_prism(self):
+        g = make_prism(600)
+        text = emit_graph6(g)
+        assert text == oracle_emit_graph6(g)
+        assert parse_graph6(text) == oracle_parse_graph6(text) == g
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", ">>graph6<<", "C\x05", "C\xe9", ">>graph6<<C~\x7f", "~~", "~~??",
+        "~", "~?", "~??", "~??C", "C", "D?", "I??", "C~~", "@?", "~??C~~",
+        "AO", "A@", "B" + chr(63 + 1), "D?" + chr(63 + 0b000111), "~?@??",
+    ])
+    def test_malformed_input_same_error_and_offset(self, text):
+        got = _parse_outcome(parse_graph6, text)
+        assert isinstance(got, tuple)
+        assert got == _parse_outcome(oracle_parse_graph6, text)
+
+    def test_long_form_accepted_up_to_62_vertices(self):
+        rng = random.Random(62)
+        for n in range(63):
+            g = random_graph(rng, n)
+            text = emit_graph6(g)
+            for spelling in (long_form(text), ">>graph6<<" + long_form(text)):
+                assert parse_graph6(spelling) == oracle_parse_graph6(spelling) == g
+
+
+class TestGraph6Lines:
+    def test_each_line_paired_with_its_normal_form(self, monkeypatch, d8):
+        import cubic_lab.graphs as graphs
+
+        emitted = []
+        monkeypatch.setattr(graphs, "emit_graph6", lambda g: emitted.append(g) or emit_graph6(g))
+        big = make_prism(32)
+        short, long_ = emit_graph6(d8), emit_graph6(big)
+        text = "\n".join([short, "", ">>graph6<<" + short, long_form(short),
+                          long_, ">>graph6<<" + long_, "  "]) + "\n"
+        pairs = parse_graph6_lines(text)
+        assert [g6 for g6, _ in pairs] == [short, short, short, long_, long_]
+        assert [g for _, g in pairs] == [d8, d8, d8, big, big]
+        # only the header lines and the long form below n = 63 are re-emitted
+        assert emitted == [d8, d8, big]
 
 
 class TestEdgeList:
@@ -278,3 +346,14 @@ class TestPredicates:
 
     def test_is_cubic_direct(self, prism, diamond):
         assert is_cubic(prism) and not is_cubic(diamond)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=0, max_value=14))
+@example(seed=0, n=0)
+@example(seed=0, n=1)
+def test_is_connected_means_bfs_reaches_every_vertex(seed, n):
+    rng = random.Random(seed)
+    p = rng.choice((0.05, 0.15, 0.3, 0.6))
+    g = build_graph(n, [(u, w) for u in range(n) for w in range(u + 1, n) if rng.random() < p])
+    reached = n == 0 or all(d is not None for d in bfs_distances(g, 0).dist)
+    assert is_connected(g) == reached

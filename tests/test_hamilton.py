@@ -14,6 +14,8 @@ from cubic_lab.hamilton import (
     has_hamiltonian_cycle,
     verify_hamiltonian_cycle,
 )
+
+from conftest import make_prism
 from oracles import oracle_hamiltonian_by_permutations
 
 
@@ -100,27 +102,18 @@ class TestShortcutSoundness:
                 assert verify_hamiltonian_cycle(g, res.witness)
 
 
-def _prism(k: int):
-    """The prism C_k x K2: outer cycle 0..k-1, inner cycle k..2k-1, spokes."""
-    return build_graph(2 * k, [
-        *((i, (i + 1) % k) for i in range(k)),
-        *((k + i, k + (i + 1) % k) for i in range(k)),
-        *((i, k + i) for i in range(k)),
-    ])
-
-
 class TestLongPaths:
     # the search keeps its own stack, so a path longer than Python's
     # recursion limit is no error
     def test_1200_vertex_prism(self):
-        g = _prism(600)
+        g = make_prism(600)
         res = has_hamiltonian_cycle(g)
         assert res.certificate_kind == CERT_CYCLE
         assert verify_hamiltonian_cycle(g, res.witness)
 
     def test_1200_vertex_prism_through_the_cli(self, tmp_path, capsys):
         path = tmp_path / "prism.g6"
-        path.write_text(emit_graph6(_prism(600)) + "\n")
+        path.write_text(emit_graph6(make_prism(600)) + "\n")
         code = main(["classify", "--in", str(path)])
         out = capsys.readouterr().out
         assert code == 0

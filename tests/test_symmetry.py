@@ -71,6 +71,33 @@ class TestCanonicalForm:
             assert are_isomorphic(g, g)
 
 
+class TestCanonicalBytesFromLabeling:
+    # _canonical_graph6 writes the relabeled graph's bytes without building it
+
+    def test_every_class_up_to_12_under_seeded_relabelings(self):
+        from cubic_lab.census import enumerate_cubic
+        from cubic_lab.graphs import emit_graph6
+
+        rng = random.Random(12)
+        for g in (g for n in range(4, 13, 2) for g in enumerate_cubic(n)):
+            for _ in range(3):
+                lab = list(range(g.n))
+                rng.shuffle(lab)
+                assert symmetry._canonical_graph6(g, lab) == emit_graph6(relabel(g, lab)).encode()
+
+    def test_seeded_non_cubic_graphs_under_random_permutations(self):
+        from cubic_lab.graphs import emit_graph6
+
+        rng = random.Random(13)
+        for _ in range(200):
+            n = rng.randint(0, 30)
+            p = rng.random()
+            g = build_graph(n, [(u, w) for u, w in combinations(range(n), 2) if rng.random() < p])
+            lab = list(range(n))
+            rng.shuffle(lab)
+            assert symmetry._canonical_graph6(g, lab) == emit_graph6(relabel(g, lab)).encode()
+
+
 def _cube():
     return build_graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4) if v < v ^ bit])
 
