@@ -13,6 +13,27 @@ A cycle insertion then removes one cycle edge of the active side and feeds
 its endpoints to the two open nodes, producing a connected cubic graph whose
 single bridge is the anchor-root edge. Doing this once per edge orbit of the
 active side yields the insertion family.
+
+Those orbits come from the search that chose the side; they need no search
+of their own. Let S be the source's induced subgraph on the active side and
+S+ the augmented side: S plus the root and the open nodes, joined by
+root-open1, root-open2, near1-open1 and near2-open2, where near1 and near2
+are the active ends of the two cut edges.
+  - In S the only degree-2 vertices are near1 and near2, and they are
+    distinct: were they one vertex, its third edge would be a bridge of the
+    source.
+  - In S+ the only degree-2 vertices are the root and the open nodes, and
+    the root is the only one whose two neighbours both have degree 2. So
+    every automorphism of S+ fixes the root (Aut(S+) is the root's
+    stabilizer) and maps {open1, open2} onto itself. It restricts to an
+    automorphism of S that sends near_i where it sends open_i, since near_i
+    is open_i's one neighbour in S.
+  - Conversely every automorphism of S permutes {near1, near2} and extends
+    in exactly one way: fix the root and send open_i where near_i goes.
+Restriction and extension are inverse isomorphisms between Aut(S+) and
+Aut(S), so the extended generators of Aut(S) generate Aut(S+), and their
+edge classes are both the root-stabilizer orbits and the full-group orbits
+of S+. Every extended generator is still checked against the edges of S+.
 """
 
 from __future__ import annotations
@@ -32,14 +53,16 @@ from .graphs import (
     edit_graph,
     emit_graph6,
     induced_subgraph,
-    is_connected,
     is_cubic,
 )
 from .symmetry import (
     MODE_FULL,
     MODE_STABILIZER,
+    _check_automorphisms,
+    _count_cycle_orbits,
+    _edge_orbit_search,
+    _orbits_of_edges,
     canonical_form,
-    distinct_cycle_edges,
     edge_orbits,
     isomorphic_pairs,
 )
@@ -52,7 +75,10 @@ class ConstructionRecord:
     ``augmented`` has four more vertices than ``source``: the far anchor and
     the root (the bridge endpoints) plus the two degree-2 open nodes, which
     sit with the root on ``active_side``. ``profile`` holds BFS distances
-    from the root measured inside the active side only.
+    from the root measured inside the active side only. ``side_orbits`` are
+    the edge orbits of the augmented active side, in ``side_subgraph`` ids,
+    under its automorphism group, which is the root's stabilizer there
+    (module docstring).
     """
 
     source: Graph
@@ -63,6 +89,7 @@ class ConstructionRecord:
     active_side: frozenset[int]
     root: int
     profile: DistanceProfile
+    side_orbits: tuple[tuple[Edge, ...], ...]
 
     def side_subgraph(self) -> tuple[Graph, dict[int, int]]:
         return induced_subgraph(self.augmented, self.active_side)
@@ -70,16 +97,32 @@ class ConstructionRecord:
     @cached_property
     def _side_with_bridges(self) -> tuple[Graph, dict[int, int], frozenset[Edge]]:
         # built once per record: every cycle_insertion of a family, the
-        # depth report and the bridgeless check need it
+        # full-group orbits and the bridgeless check need it
         side, remap = self.side_subgraph()
         return side, remap, frozenset(find_bridges(side))
 
-    @cached_property
-    def _stabilizer_orbits(self) -> tuple[tuple[Edge, ...], ...]:
-        # one rooted search per record: insertion_family in stabilizer mode
-        # and the depth report both read it
-        side, remap, _ = self._side_with_bridges
-        return edge_orbits(side, remap[self.root])
+
+def _side_symmetry(sub: Graph) -> tuple[int, list[tuple[int, ...]]]:
+    """``distinct_cycle_edges(sub)`` and the generators of Aut(sub) that
+    its search recorded."""
+    orbits, generators = _edge_orbit_search(sub)
+    return _count_cycle_orbits(sub, orbits), generators
+
+
+def _choose_side(g: Graph, bb: BiBridge) -> tuple[str, list[tuple[int, ...]]]:
+    """``select_active_side`` plus the generators of the winning side's
+    induced subgraph, from the one search per side that decided it."""
+    sub_a, _ = induced_subgraph(g, bb.side_a)
+    sub_b, _ = induced_subgraph(g, bb.side_b)
+    count_a, gens_a = _side_symmetry(sub_a)
+    count_b, gens_b = _side_symmetry(sub_b)
+    if count_a != count_b:
+        a_wins = count_a > count_b
+    else:
+        form_a = canonical_form(sub_a).graph6
+        form_b = canonical_form(sub_b).graph6
+        a_wins = form_a < form_b if form_a != form_b else 0 in bb.side_a
+    return ("a", gens_a) if a_wins else ("b", gens_b)
 
 
 def select_active_side(g: Graph, bb: BiBridge) -> str:
@@ -90,17 +133,7 @@ def select_active_side(g: Graph, bb: BiBridge) -> str:
     the lexicographically smaller canonical form, then to the side holding
     vertex 0.
     """
-    sub_a, _ = induced_subgraph(g, bb.side_a)
-    sub_b, _ = induced_subgraph(g, bb.side_b)
-    count_a = distinct_cycle_edges(sub_a)
-    count_b = distinct_cycle_edges(sub_b)
-    if count_a != count_b:
-        return "a" if count_a > count_b else "b"
-    form_a = canonical_form(sub_a).graph6
-    form_b = canonical_form(sub_b).graph6
-    if form_a != form_b:
-        return "a" if form_a < form_b else "b"
-    return "a" if 0 in bb.side_a else "b"
+    return _choose_side(g, bb)[0]
 
 
 def bridge_construct(g: Graph) -> ConstructionRecord:
@@ -117,7 +150,7 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
             f"bridge_construct requires a biconnected cubic graph, got {cls.label}"
         )
     bb = most_balanced_bibridge(g)
-    label = select_active_side(g, bb)
+    label, generators = _choose_side(g, bb)
     active = bb.side_a if label == "a" else bb.side_b
 
     def split(cut: Edge) -> tuple[int, int]:
@@ -137,9 +170,10 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
 
     if augmented.n != g.n + 4:
         raise InvariantError("augmented graph has the wrong size")
-    if not is_connected(augmented):
-        raise InvariantError("augmented graph is disconnected")
-    bridges = find_bridges(augmented)
+    try:
+        bridges = find_bridges(augmented)
+    except InputError:
+        raise InvariantError("augmented graph is disconnected") from None
     if bridges != (edge(anchor, root),):
         raise InvariantError(f"expected exactly the anchor-root bridge, got {bridges}")
     deg2 = tuple(v for v in range(augmented.n) if augmented.degree(v) == 2)
@@ -151,6 +185,21 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
     profile = bfs_distances(augmented, root, within=active_side)
     if any(profile.dist[v] is None for v in active_side):
         raise InvariantError("active side is not internally connected")
+
+    # The active side's generators, extended to the augmented side (proof
+    # in the module docstring). induced_subgraph keeps id order and root,
+    # open1 and open2 exceed every source id, so side vertex i < k is the
+    # active-side vertex i the generators act on, and the new three are k,
+    # k + 1 and k + 2 in that order.
+    side, remap = induced_subgraph(augmented, active_side)
+    side_edges = side.edges()
+    m1, m2 = remap[near1], remap[near2]
+    k = remap[root]
+    extended = [
+        (*gamma, k, k + 2, k + 1) if gamma[m1] == m2 else (*gamma, k, k + 1, k + 2)
+        for gamma in generators
+    ]
+    _check_automorphisms(side_edges, extended, k)
     return ConstructionRecord(
         source=g,
         chosen_bibridge=bb,
@@ -160,6 +209,7 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
         active_side=active_side,
         root=root,
         profile=profile,
+        side_orbits=_orbits_of_edges(side_edges, extended),
     )
 
 
@@ -170,8 +220,9 @@ class DepthBoundReport:
     ``holds_stabilizer`` is the load-bearing bound: orbits under root-fixing
     automorphisms cannot merge edges that reach different depths, so the
     orbit count is at least ``max_dist``. The full-group count is reported
-    alongside because unrestricted automorphisms may move the root and merge
-    depth classes; a full-group shortfall is a finding, not a failure.
+    alongside it. On the augmented active side no automorphism moves the
+    root (module docstring), so the two counts, and the two verdicts, are
+    always equal.
     """
 
     max_dist: int
@@ -183,9 +234,7 @@ class DepthBoundReport:
 
 
 def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
-    side, _, _ = rec._side_with_bridges
-    full = len(edge_orbits(side))
-    stab = len(rec._stabilizer_orbits)
+    full = stab = len(rec.side_orbits)
     d = rec.profile.max_dist
     dist = rec.profile.dist
     facilitated = set()
@@ -270,9 +319,10 @@ def _check_member(rec: ConstructionRecord, result: Graph) -> None:
         raise InvariantError("insertion changed the vertex count")
     if not is_cubic(result):
         raise InvariantError("insertion result is not cubic")
-    if not is_connected(result):
-        raise InvariantError("insertion result is disconnected")
-    bridges = find_bridges(result)
+    try:
+        bridges = find_bridges(result)
+    except InputError:
+        raise InvariantError("insertion result is disconnected") from None
     if bridges != (rec.bridge,):
         raise _BridgeMismatch(f"insertion result bridges {bridges} != ({tuple(rec.bridge)},)")
     after = bfs_distances(result, rec.root, within=rec.active_side)
@@ -350,7 +400,7 @@ def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> In
     """
     side, remap, side_bridges = rec._side_with_bridges
     if mode == MODE_STABILIZER:
-        orbits = rec._stabilizer_orbits
+        orbits = rec.side_orbits
     elif mode == MODE_FULL:
         orbits = edge_orbits(side)
     else:

@@ -111,7 +111,8 @@ def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     reach[w] over v's neighbours w. A layer's size is the growth in
     popcount, and a vertex whose reach stops growing has reached its whole
     component. Triangles through v are the sum of |nb[a] & nb[v]| over v's
-    neighbours a, halved.
+    neighbours a, halved; each edge's common-neighbour count is taken once
+    and added to both its ends.
 
     These keys order vertices exactly as (degree, triangles, sorted BFS
     distances, with n standing in for every unreachable vertex) would.
@@ -129,10 +130,18 @@ def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     for v, nbrs in enumerate(adj):
         for w in nbrs:
             nb[v] |= 1 << w
-    keys = []
-    for v, nbrs in enumerate(adj):
-        triangles = sum([(nb[a] & nb[v]).bit_count() for a in nbrs]) // 2
-        keys.append([len(nbrs), triangles, -len(nbrs)] if nbrs else [0, 0])
+    common = [0] * n
+    for u, nbrs in enumerate(adj):
+        nb_u = nb[u]
+        for w in nbrs:
+            if u < w:
+                c = (nb_u & nb[w]).bit_count()
+                common[u] += c
+                common[w] += c
+    keys = [
+        [len(nbrs), common[v] // 2, -len(nbrs)] if nbrs else [0, 0]
+        for v, nbrs in enumerate(adj)
+    ]
     reach = [nb[v] | 1 << v for v in range(n)]
     size = [len(nbrs) + 1 for nbrs in adj]
     # a vertex that reaches all n needs no further round
@@ -393,21 +402,11 @@ def _orbit_roots(items: Sequence, generators: Sequence[Sequence[int]], image) ->
     return [find(i) for i in range(len(items))]
 
 
-def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...], ...]:
-    """Partition the edges into orbits: under Aut(G) without a root, under
-    the root's stabilizer with one.
-
-    The orbits are the classes of edges joined by the generators the
-    canonical search records, individualizing the root first when there
-    is one. No group is listed, so the cap is the canonical one. Orbits
-    are sorted, in the order of their least edges.
-    """
-    if root is not None and not 0 <= root < g.n:
-        raise InputError(f"vertex {root} out of range")
-    if g.n > CANON_MAX_N:
-        raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
-    _, generators, edges = _search(g, root) if g.n else ((), [], ())
-    _check_automorphisms(edges, generators, root)
+def _orbits_of_edges(
+    edges: Sequence[Edge], generators: Sequence[Sequence[int]]
+) -> tuple[tuple[Edge, ...], ...]:
+    """The classes of the sorted ``edges`` that the permutations join:
+    sorted, in the order of their least edges."""
     roots = _orbit_roots(edges, generators, lambda gamma, e: edge(gamma[e.u], gamma[e.v]))
     # edges come sorted and a class's root is its least index, so orbits
     # form sorted, in the order of their least edges
@@ -417,15 +416,46 @@ def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...],
     return tuple(tuple(members) for members in grouped.values())
 
 
-def distinct_cycle_edges(g: Graph) -> int:
-    """The number of Aut(G) edge orbits that lie on cycles (an edge is on a
-    cycle iff it is not a bridge)."""
+def _edge_orbit_search(
+    g: Graph, root: Optional[int] = None
+) -> tuple[tuple[tuple[Edge, ...], ...], list[tuple[int, ...]]]:
+    """``edge_orbits(g, root)`` and the checked generators it came from."""
+    if root is not None and not 0 <= root < g.n:
+        raise InputError(f"vertex {root} out of range")
+    if g.n > CANON_MAX_N:
+        raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
+    _, generators, edges = _search(g, root) if g.n else ((), [], ())
+    _check_automorphisms(edges, generators, root)
+    return _orbits_of_edges(edges, generators), generators
+
+
+def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...], ...]:
+    """Partition the edges into orbits: under Aut(G) without a root, under
+    the root's stabilizer with one.
+
+    The orbits are the classes of edges joined by the generators the
+    canonical search records, individualizing the root first when there
+    is one. No group is listed, so the cap is the canonical one. Orbits
+    are sorted, in the order of their least edges.
+    """
+    return _edge_orbit_search(g, root)[0]
+
+
+def _count_cycle_orbits(g: Graph, orbits: Sequence[Sequence[Edge]]) -> int:
+    """How many of g's edge orbits lie on cycles; an orbit that mixes
+    bridges and cycle edges is an InvariantError."""
     bridges = set(find_bridges(g))
     count = 0
-    for orbit in edge_orbits(g):
+    for orbit in orbits:
         on_cycle = [e not in bridges for e in orbit]
         if any(on_cycle) != all(on_cycle):
             raise InvariantError("orbit mixes bridge and cycle edges")
         if on_cycle[0]:
             count += 1
     return count
+
+
+def distinct_cycle_edges(g: Graph) -> int:
+    """The number of Aut(G) edge orbits that lie on cycles (an edge is on a
+    cycle iff it is not a bridge)."""
+    return _count_cycle_orbits(g, edge_orbits(g))

@@ -8,6 +8,7 @@ from cubic_lab.connectivity import classify_connectivity, find_bridges, most_bal
 from cubic_lab.construction import (
     MEMBER_INSERT,
     MEMBER_JOIN,
+    _check_member,
     active_side_bridgeless,
     bridge_construct,
     cycle_insertion,
@@ -18,8 +19,9 @@ from cubic_lab.construction import (
     record_to_dict,
     select_active_side,
 )
-from cubic_lab.errors import InputError
+from cubic_lab.errors import InputError, InvariantError
 from cubic_lab.graphs import (
+    build_graph,
     edge,
     edit_graph,
     emit_graph6,
@@ -36,7 +38,12 @@ from cubic_lab.symmetry import (
     distinct_cycle_edges,
 )
 
-from oracles import oracle_canonical_form
+from oracles import (
+    oracle_automorphism_group,
+    oracle_automorphisms,
+    oracle_canonical_form,
+    oracle_edge_orbits,
+)
 
 
 class TestSelectActiveSide:
@@ -128,22 +135,61 @@ class TestDepthBound:
             assert rep.orbit_count_stabilizer >= rep.max_dist
             assert rep.orbit_count_stabilizer >= rep.orbit_count_full
 
-    def test_one_rooted_search_per_record(self, d8, monkeypatch):
-        # the stabilizer-mode family and the report share the record's
-        # root-stabilizer orbits; only the full-group count searches again
+    def test_two_unrooted_searches_per_record(self, d8, monkeypatch):
+        # the one search per side that picks the active side is all the
+        # record, its stabilizer-mode family and its report need. d8's
+        # sides tie, so the cached canonical form of the side is warmed
+        # first and only the searches a record runs itself are counted
+        bridge_construct(d8)
         search = symmetry._search
         roots = []
 
         def counting(g, root=None):
-            if root is not None:
-                roots.append(root)
+            roots.append(root)
             return search(g, root)
 
         monkeypatch.setattr(symmetry, "_search", counting)
         rec = bridge_construct(d8)
         insertion_family(rec)
         depth_bound_report(rec)
-        assert len(roots) == 1
+        assert roots == [None, None]
+
+
+def _biconnected_up_to(n_max):
+    from cubic_lab.census import enumerate_cubic
+
+    return [
+        g for n in range(4, n_max + 1, 2) for g in enumerate_cubic(n)
+        if classify_connectivity(g).is_biconnected
+    ]
+
+
+class TestSideOrbits:
+    """The record's orbits, extended from the generators of the search that
+    chose the active side, are the orbits of the augmented side under the
+    root's stabilizer and under its whole group."""
+
+    def test_equal_fresh_searches_up_to_14(self):
+        rng = random.Random(20)
+        graphs = _biconnected_up_to(14)
+        assert len(graphs) == 168
+        for g in graphs:
+            for h in (g, *(relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2))):
+                rec = bridge_construct(h)
+                side, remap = rec.side_subgraph()
+                assert rec.side_orbits == symmetry.edge_orbits(side, remap[rec.root]), h
+                assert rec.side_orbits == symmetry.edge_orbits(side), h
+
+    def test_equal_oracle_stabilizer_orbits_up_to_12(self):
+        # the n! scan where it is quick; the vertex-image backtracker,
+        # which TestOraclesAgree checks against the scan, past that
+        for g in _biconnected_up_to(12):
+            rec = bridge_construct(g)
+            side, remap = rec.side_subgraph()
+            root = remap[rec.root]
+            group = oracle_automorphisms(side) if side.n <= 8 else oracle_automorphism_group(side)
+            stab = [p for p in group if p[root] == root]
+            assert rec.side_orbits == oracle_edge_orbits(side, stab), g
 
 
 class TestCycleCover:
@@ -195,6 +241,16 @@ class TestCycleInsertion:
         rec = bridge_construct(d8)
         with pytest.raises(InputError, match="active side"):
             cycle_insertion(rec, edge(5, 6))
+
+    def test_disconnected_result_rejected(self, d8):
+        rec = bridge_construct(d8)
+        # three disjoint K4s: cubic, with the augmented graph's 12 vertices
+        three_k4 = build_graph(12, [
+            (off + a, off + b) for off in (0, 4, 8)
+            for a in range(4) for b in range(a + 1, 4)
+        ])
+        with pytest.raises(InvariantError, match="insertion result is disconnected"):
+            _check_member(rec, three_k4)
 
     def test_distances_never_increase(self, d8):
         from cubic_lab.graphs import bfs_distances
