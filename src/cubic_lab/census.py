@@ -18,7 +18,10 @@ below. Each edge carries the labelling-independent invariant (4-cycles
 through it, 5-cycles through it), compared lexicographically. A child is
 kept only when no reducible edge other than its new edge xy has a
 strictly larger invariant than xy. The set of canonical forms removes the
-duplicates that pass.
+duplicates that pass. The verdict does not depend on the order in which
+edges are tried, so the filter tries the likeliest winners first: the
+child's four other new edges, then the parent's edges by descending
+parent invariant. It counts 5-cycles only where the 4-cycle counts tie.
 
 Every child is connected, simple and cubic: x and y are new, each of p, q,
 r, s trades one edge for another, and all four reach the adjacent x and y,
@@ -61,11 +64,14 @@ isomorphic to C, with the new edge mapped to e*. That child passes the
 filter, and its canonical form is C's.
 
 Each level is kept as its sorted canonical graph6 strings; a ``Graph`` is
-parsed only where one is used, and none is cached. With ``jobs`` > 1,
-``census_table`` opens one process pool for the whole run and ships the
-levels to it as they are: one parent per task, whose children's canonical
-forms join the serial result, then the level's strings for classifying,
-counted per (class, Hamiltonicity) independently of completion order.
+parsed only where one is used, and none is cached. One pass per level does
+all the work on it: each class is parsed once, classified when its census
+row is wanted, and grown into its children when the next level is. With
+``jobs`` > 1 the pass forks w = min(jobs, level size) workers, and worker
+k takes the classes k, k + w, k + 2w, ... of the level. Each sends back its
+(class, Hamiltonicity) counts and its set of child forms as ``marshal``
+bytes through a pipe. Counts add and sets unite, so the rows and levels do
+not depend on ``jobs``.
 
 The evidence tables are the census rows (connectivity classes and
 Hamiltonicity counted per n) and the complete-tree probe
@@ -74,22 +80,16 @@ Hamiltonicity counted per n) and the complete-tree probe
 
 from __future__ import annotations
 
+import marshal
 import os
 from collections import Counter
-from contextlib import nullcontext
 from dataclasses import dataclass, fields
-from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import chain, combinations
+from typing import Collection, Iterable, Optional, Sequence
 
 from .connectivity import classify_connectivity, component_of, find_bridges
 from .errors import InputError, InvariantError
-from .graphs import (
-    Graph,
-    bfs_distances,
-    edge,
-    induced_subgraph,
-    parse_graph6,
-)
+from .graphs import Graph, bfs_distances, induced_subgraph, parse_graph6
 from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
 from .symmetry import (
     _canonical_graph6,
@@ -117,20 +117,36 @@ def max_enumeration_n() -> int:
 # generation
 # ---------------------------------------------------------------------------
 
-def _edge_invariant(adj: Sequence[set[int]], u: int, v: int) -> tuple[int, int]:
-    """(4-cycles, 5-cycles) through the edge uv. Only adjacency is read, so
-    the pair does not depend on the labelling."""
-    c4 = c5 = 0
+def _four_cycles(adj: Sequence[set[int]], u: int, v: int) -> int:
+    """4-cycles through the edge uv: paths u a b v with a, b outside the
+    edge. Each neighbour a of u other than v shares u with adj[v] and
+    adds its other common neighbours with v."""
+    nv = adj[v]
+    c4 = 1 - len(adj[u])
+    for a in adj[u]:
+        if a != v:
+            c4 += len(adj[a] & nv)
+    return c4
+
+
+def _five_cycles(adj: Sequence[set[int]], u: int, v: int) -> int:
+    """5-cycles through the edge uv: paths u a c b v with a, b, c distinct
+    and outside the edge."""
+    c5 = 0
     for a in adj[u]:
         if a == v:
             continue
         for b in adj[v]:
             if b == u or b == a:
                 continue
-            if b in adj[a]:
-                c4 += 1
             c5 += len(adj[a] & adj[b]) - (u in adj[b]) - (v in adj[a])
-    return c4, c5
+    return c5
+
+
+def _edge_invariant(adj: Sequence[set[int]], u: int, v: int) -> tuple[int, int]:
+    """(4-cycles, 5-cycles) through the edge uv. Only adjacency is read, so
+    the pair does not depend on the labelling."""
+    return _four_cycles(adj, u, v), _five_cycles(adj, u, v)
 
 
 def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
@@ -164,15 +180,41 @@ def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
     )
 
 
-def _passes_parent_filter(adj: Sequence[set[int]], x: int, y: int) -> bool:
+def _passes_parent_filter(
+    adj: Sequence[set[int]],
+    x: int,
+    y: int,
+    rest: Optional[Iterable[tuple[int, int]]] = None,
+) -> bool:
     """False when some reducible edge has a strictly larger
-    ``_edge_invariant`` than xy. Reducibility is checked only for edges
-    whose invariant beats xy's."""
-    own = _edge_invariant(adj, x, y)
-    return not any(
-        u < v and _edge_invariant(adj, u, v) > own and _reducible(adj, u, v)
-        for u, nbrs in enumerate(adj) for v in nbrs
-    )
+    ``_edge_invariant`` than xy.
+
+    The verdict does not depend on the order in which edges are tried, so
+    the likeliest winners go first: the other edges at x and y, then
+    ``rest`` in its order, skipping the pairs that are not edges. ``rest``
+    must hold every other edge (by default, every edge in id order). The
+    invariants are compared lazily, counting 5-cycles only where the
+    4-cycle counts tie, and reducibility is checked only for an edge whose
+    invariant beats xy's."""
+    if rest is None:
+        rest = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    own4 = _four_cycles(adj, x, y)
+    own5 = None
+    near = [(x, w) for w in adj[x] if w != y] + [(y, w) for w in adj[y] if w != x]
+    for u, v in chain(near, rest):
+        if v not in adj[u]:
+            continue
+        c4 = _four_cycles(adj, u, v)
+        if c4 < own4:
+            continue
+        if c4 == own4:
+            if own5 is None:
+                own5 = _five_cycles(adj, x, y)
+            if _five_cycles(adj, u, v) <= own5:
+                continue
+        if _reducible(adj, u, v):
+            return False
+    return True
 
 
 def _children(g: Graph) -> set[bytes]:
@@ -185,22 +227,32 @@ def _children(g: Graph) -> set[bytes]:
     n = g.n
     _, generators, edges = _search(g)
     _check_automorphisms(edges, generators)
+    # pairs of edge ids, and each generator as a permutation of edge ids
+    index = {e: i for i, e in enumerate(edges)}
+    perms = [
+        [index[(a, b) if a < b else (b, a)] for a, b in ((gamma[u], gamma[v]) for u, v in edges)]
+        for gamma in generators
+    ]
     pairs = [
-        (e, f) for e, f in combinations(edges, 2)
+        (i, j) for (i, e), (j, f) in combinations(enumerate(edges), 2)
         if e.u not in f and e.v not in f
     ]
 
-    def image(gamma, pair):
-        e, f = (edge(gamma[u], gamma[v]) for u, v in pair)
-        return (e, f) if e < f else (f, e)
+    def image(perm, pair):
+        i, j = perm[pair[0]], perm[pair[1]]
+        return (i, j) if i < j else (j, i)
 
-    roots = _orbit_roots(pairs, generators, image)
+    roots = _orbit_roots(pairs, perms, image)
+    # the parent's edges, likeliest filter winners first (see the filter)
+    parent_adj = [set(nbrs) for nbrs in g.adj]
+    ranked = sorted(edges, key=lambda e: _edge_invariant(parent_adj, *e), reverse=True)
     forms: set[bytes] = set()
-    for i, ((p, q), (r, s)) in enumerate(pairs):
-        if roots[i] != i:
+    for k, (i, j) in enumerate(pairs):
+        if roots[k] != k:
             continue
+        (p, q), (r, s) = edges[i], edges[j]
         # g less pq and rs; each split replaces only the sets it changes
-        base = [set(nbrs) for nbrs in g.adj]
+        base = [set(nbrs) for nbrs in parent_adj]
         for u, w in ((p, q), (r, s)):
             base[u].discard(w)
             base[w].discard(u)
@@ -208,54 +260,135 @@ def _children(g: Graph) -> set[bytes]:
             adj = base + [{n + 1, a, b}, {n, c, d}]
             for w, x in ((a, n), (b, n), (c, n + 1), (d, n + 1)):
                 adj[w] = base[w] | {x}
-            if _passes_parent_filter(adj, n, n + 1):
+            if _passes_parent_filter(adj, n, n + 1, ranked):
                 child = Graph(n + 2, tuple(tuple(sorted(nbrs)) for nbrs in adj))
                 forms.add(_canonical_graph6(child, _search(child)[0]))
     return forms
 
 
-def _child_forms(g6: str) -> set[bytes]:
-    """``_children`` of one parent given as graph6; top-level so process
-    pools can ship it around."""
-    return _children(parse_graph6(g6))
+def _run_worker(write_fd: int, read_fds: Sequence[int], fn, args: tuple) -> None:
+    """The body of a forked worker: ``fn(*args)`` sent to the parent as
+    marshal bytes, or the exception it raised, pickled for the parent to
+    raise. It closes the read ends it inherited, so that a pipe the parent
+    stops reading has no reader left and a blocked write fails. It always
+    ends in ``os._exit``: the worker never returns into its caller's code,
+    never flushes the stdout it inherited and never runs atexit hooks."""
+    status = 1
+    try:
+        for fd in read_fds:
+            os.close(fd)
+        try:
+            payload = b"r" + marshal.dumps(fn(*args))
+        except BaseException as exc:
+            import pickle  # only a failing worker pays for it
+
+            payload = b"e" + pickle.dumps(exc)
+        with open(write_fd, "wb") as out:
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
-def _map(pool, fn, items: Iterable, chunksize: int = 1) -> Iterator:
-    """``fn`` over ``items``, yielded lazily in order, from the pool's
-    workers, or from this process when ``pool`` is None."""
-    if pool is None:
-        return map(fn, items)
-    return pool.map(fn, items, chunksize=chunksize)
+def _forked(fn, calls: Sequence[tuple]) -> list:
+    """``fn(*args)`` for each ``args`` of ``calls``, each in a forked
+    worker, returned in call order. The package starts no thread, so a
+    fork copies no held lock. Every worker is reaped before this returns
+    or raises. A worker's exception is raised here (the first in call
+    order), and a worker that exits without a result is an
+    ``InvariantError`` naming its exit status."""
+    pids: list[int] = []
+    pipes: list[int] = []
+    payloads: list[bytes] = []
+    try:
+        for args in calls:
+            read_fd, write_fd = os.pipe()
+            pipes.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_worker(write_fd, pipes, fn, args)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+        for read_fd in pipes:
+            with open(read_fd, "rb", closefd=False) as src:
+                payloads.append(src.read())
+    finally:
+        # closed before the waits, so a worker still writing to an unread
+        # pipe fails and exits instead of blocking its wait
+        for read_fd in pipes:
+            os.close(read_fd)
+        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    results = []
+    for payload, status in zip(payloads, statuses):
+        if payload[:1] == b"r":
+            results.append(marshal.loads(payload[1:]))
+        elif payload[:1] == b"e":
+            import pickle
+
+            raise pickle.loads(payload[1:])
+        else:
+            raise InvariantError(f"a census worker exited with status {status} and sent no result")
+    return results
 
 
-def _process_pool(jobs: int):
-    """A pool of ``jobs`` worker processes for ``_map``, or a context that
-    yields None (serial ``_map``) for one job."""
-    if jobs == 1:
-        return nullcontext()
-    # imported here: the pool module costs every CLI start-up ~20 ms
-    from concurrent.futures import ProcessPoolExecutor
+def _pass_share(share: Sequence[str], row: bool, grow: bool) -> tuple[dict, set[bytes]]:
+    """One share of a level pass: each class is parsed once, counted by
+    (connectivity class, Hamiltonicity) when ``row`` is set and grown into
+    its children's canonical forms when ``grow`` is."""
+    counts: Counter = Counter()
+    forms: set[bytes] = set()
+    for g6 in share:
+        g = parse_graph6(g6)
+        if row:
+            facts = classify_graph(g)
+            counts[facts["class"], facts["is_hamiltonian"]] += 1
+        if grow:
+            forms |= _children(g)
+    return dict(counts), forms  # marshal takes a plain dict, not a Counter
 
-    return ProcessPoolExecutor(max_workers=jobs)
+
+def _level_pass(level: Sequence[str], row: bool, grow: bool, jobs: int) -> tuple[Counter, set[bytes]]:
+    """``_pass_share`` over the whole level: in this process for one job
+    (or where ``os.fork`` does not exist), else in min(jobs, len(level))
+    forked workers, worker k taking ``level[k::workers]``. Counts and form
+    sets are merged, so the result does not depend on the split."""
+    workers = min(jobs, len(level))
+    if workers < 2 or not hasattr(os, "fork"):
+        results = [_pass_share(level, row, grow)]
+    else:
+        results = _forked(_pass_share, [(level[k::workers], row, grow) for k in range(workers)])
+    counts: Counter = Counter()
+    forms: set[bytes] = set()
+    for share_counts, share_forms in results:
+        counts.update(share_counts)
+        forms |= share_forms
+    return counts, forms
 
 
 _ENUMERATED: dict[int, tuple[str, ...]] = {}
 
 
-def _enumerate_cached(n: int, pool=None) -> tuple[str, ...]:
-    """The sorted canonical graph6 strings of size n, computed once per
-    process from those of size n - 2, one parent per ``_map`` task."""
-    level = _ENUMERATED.get(n)
-    if level is None:
-        if n == 4:
-            forms = {b"C~"}  # K4
-        else:
-            forms = set()
-            for children in _map(pool, _child_forms, _enumerate_cached(n - 2, pool)):
-                forms |= children
-        level = tuple(form.decode("ascii") for form in sorted(forms))
-        _ENUMERATED[n] = level
-    return level
+def _levels(top: int, rows: Collection[int] = (), jobs: int = 1) -> dict[int, Counter]:
+    """Grow every level up to ``top`` into ``_ENUMERATED`` and count each
+    level in ``rows`` by (class, Hamiltonicity), with at most one pass per
+    level: it classifies the level when it is a row and grows level + 2
+    when that is wanted and not cached yet. Level n is the sorted
+    canonical graph6 strings of the children of level n - 2, from K4."""
+    _ENUMERATED.setdefault(4, ("C~",))  # K4
+    counts: dict[int, Counter] = {}
+    for n in range(4, top + 1, 2):
+        row = n in rows
+        grow = n < top and n + 2 not in _ENUMERATED
+        if not (row or grow):
+            continue
+        level_counts, forms = _level_pass(_ENUMERATED[n], row, grow, jobs)
+        if row:
+            counts[n] = level_counts
+        if grow:
+            _ENUMERATED[n + 2] = tuple(form.decode("ascii") for form in sorted(forms))
+    return counts
 
 
 def _check_enumeration_n(n: int) -> None:
@@ -270,9 +403,11 @@ def _check_enumeration_n(n: int) -> None:
 
 def enumerate_graph6(n: int) -> tuple[str, ...]:
     """Every connected cubic graph on n vertices, exactly once per
-    isomorphism class, as sorted canonical graph6 strings."""
+    isomorphism class, as sorted canonical graph6 strings, grown once per
+    process by serial level passes."""
     _check_enumeration_n(n)
-    return _enumerate_cached(n)
+    _levels(n)
+    return _ENUMERATED[n]
 
 
 def enumerate_cubic(n: int) -> tuple[Graph, ...]:
@@ -317,13 +452,12 @@ def classify_graph(g: Graph) -> dict:
 
 
 def classify_graph6(g6: str) -> dict:
-    """``classify_graph`` plus the graph6 echo; top-level so process pools
-    can ship it around."""
+    """``classify_graph`` plus the graph6 echo."""
     return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
-def _row_from_facts(n: int, facts: Iterable[dict]) -> CensusRow:
-    counts = Counter((f["class"], f["is_hamiltonian"]) for f in facts)
+def _row_from_counts(n: int, counts: Counter) -> CensusRow:
+    """The census row from the level's (class, Hamiltonicity) counts."""
     total = sum(counts.values())
     non_ham = sum(count for (_, is_ham), count in counts.items() if not is_ham)
     bridge, bicon, three = (
@@ -368,13 +502,8 @@ def census_table(n_min: int, n_max: int, jobs: int = 1) -> list[CensusRow]:
     if jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {jobs}")
     sizes = even_sizes(n_min, n_max)
-    with _process_pool(jobs) as pool:
-        return [_census_row(n, pool) for n in sizes]
-
-
-def _census_row(n: int, pool) -> CensusRow:
-    facts = _map(pool, classify_graph6, _enumerate_cached(n, pool), chunksize=16)
-    return _row_from_facts(n, facts)
+    counts = _levels(sizes[-1], sizes, jobs)
+    return [_row_from_counts(n, counts[n]) for n in sizes]
 
 
 def _csv_cell(value) -> str:

@@ -113,12 +113,21 @@ def _cycle_labels(g: Graph) -> Optional[dict[tuple[int, int], int]]:
     return labels
 
 
-def find_bridges(g: Graph) -> tuple[Edge, ...]:
-    """All bridges (the edges labelled 0), sorted. Requires a connected graph."""
+def _bridges(g: Graph) -> Optional[tuple[Edge, ...]]:
+    """``find_bridges(g)``, or None when g is disconnected: one labelling
+    answers both questions."""
     labels = _cycle_labels(g)
     if labels is None:
-        raise InputError("find_bridges requires a connected graph")
+        return None
     return tuple(sorted(Edge(*e) for e, label in labels.items() if not label))
+
+
+def find_bridges(g: Graph) -> tuple[Edge, ...]:
+    """All bridges (the edges labelled 0), sorted. Requires a connected graph."""
+    bridges = _bridges(g)
+    if bridges is None:
+        raise InputError("find_bridges requires a connected graph")
+    return bridges
 
 
 def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
@@ -134,10 +143,15 @@ def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     labels = _cycle_labels(g)
     if labels is None:
         raise InputError("two_edge_cuts requires a connected graph")
+    if not all(labels.values()):
+        raise InputError("two_edge_cuts requires a bridgeless graph")
+    return _cuts_from_labels(g, labels)
+
+
+def _cuts_from_labels(g: Graph, labels: dict[tuple[int, int], int]) -> tuple[BiBridge, ...]:
+    """``two_edge_cuts`` of a connected bridgeless graph from its labels."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for e, label in labels.items():
-        if not label:
-            raise InputError("two_edge_cuts requires a bridgeless graph")
         groups.setdefault(label, []).append(e)
     cuts: list[BiBridge] = []
     for group in groups.values():
@@ -190,7 +204,21 @@ def most_balanced_bibridge(g: Graph) -> BiBridge:
     cuts = two_edge_cuts(g)
     if not cuts:
         raise InputError("graph has no bi-bridge (it is three-connected)")
+    return _most_balanced(cuts)
+
+
+def _most_balanced(cuts: tuple[BiBridge, ...]) -> BiBridge:
     return min(cuts, key=lambda bb: (bb.balance, bb.e1, bb.e2))
+
+
+def _balanced_bibridge(g: Graph) -> Optional[BiBridge]:
+    """``most_balanced_bibridge(g)`` from one labelling when g is a
+    biconnected cubic graph, else None."""
+    labels = _cycle_labels(g) if is_cubic(g) else None
+    if not labels or not all(labels.values()):
+        return None
+    cuts = _cuts_from_labels(g, labels)
+    return _most_balanced(cuts) if cuts else None
 
 
 def component_of(g: Graph, v: int, removed: set[Edge]) -> frozenset[int]:

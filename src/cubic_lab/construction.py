@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .connectivity import BiBridge, classify_connectivity, find_bridges, most_balanced_bibridge
+from .connectivity import BiBridge, _balanced_bibridge, classify_connectivity, find_bridges
 from .errors import InputError, InvariantError
 from .graphs import (
     DistanceProfile,
@@ -144,12 +144,13 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
     the output is asserted before the record is returned; a violation is an
     InvariantError, never a silent pass.
     """
-    cls = classify_connectivity(g)
-    if not cls.is_biconnected:
+    bb = _balanced_bibridge(g)
+    if bb is None:
+        # classified only to word the error; classify_connectivity raises
+        # its own for a graph that is not cubic or not connected
         raise InputError(
-            f"bridge_construct requires a biconnected cubic graph, got {cls.label}"
+            f"bridge_construct requires a biconnected cubic graph, got {classify_connectivity(g).label}"
         )
-    bb = most_balanced_bibridge(g)
     label, generators = _choose_side(g, bb)
     active = bb.side_a if label == "a" else bb.side_b
 

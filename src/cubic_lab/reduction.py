@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Iterable, Optional, Sequence, Union
 
-from .connectivity import find_bridges
+from .connectivity import _bridges
 from .errors import InputError, InvariantError
 from .graphs import (
     DistanceProfile,
@@ -66,7 +66,6 @@ from .graphs import (
     edit_graph,
     emit_graph6,
     induced_subgraph,
-    is_connected,
     is_cubic,
     remove_vertices,
 )
@@ -99,9 +98,9 @@ def make_reducible_state(
     """Validate and assemble a state; ``side_cycle_orbits`` may be supplied
     to stand in for the computed count (tests use this to reach region sizes
     that only occur at scales the orbit machinery cannot touch)."""
-    if not is_cubic(graph) or not is_connected(graph):
+    bridges = _bridges(graph) if is_cubic(graph) else None
+    if bridges is None:
         raise InputError("reducible state needs a connected cubic graph")
-    bridges = find_bridges(graph)
     if bridge not in bridges:
         raise InputError(f"{tuple(bridge)} is not a bridge of the graph")
     if root not in side or root not in (bridge.u, bridge.v):
@@ -339,13 +338,14 @@ def _next_state(
         raise InvariantError("reduction step did not remove exactly two vertices")
     if not is_cubic(result):
         raise InvariantError("reduction step broke cubicity")
-    if not is_connected(result):
+    bridges = _bridges(result)
+    if bridges is None:
         raise InvariantError("reduction step disconnected the graph")
     if st.root not in remap:
         raise InvariantError("reduction step deleted the root")
     new_root = remap[st.root]
     new_bridge = edge(remap[st.bridge.u], remap[st.bridge.v])
-    if new_bridge not in find_bridges(result):
+    if new_bridge not in bridges:
         raise InvariantError("reduction step destroyed the working bridge")
     new_side = frozenset(
         {remap[v] for v in st.side if v in remap} | set(new_side_vertices)
@@ -390,10 +390,10 @@ def reduce_case(st: ReducibleState, case: RegionCase) -> ReducibleState:
     staged = edit_graph(shrunk, new_vertices=2, add=[
         (hub, remap[exits[0]]), (hub, remap[exits[1]]), (hub, second),
     ])
-    if not is_connected(staged):
+    bridges = _bridges(staged)
+    if bridges is None:
         raise InvariantError("patching the diamond left the graph disconnected")
     kept = {remap[v] for v in st.side if v in remap}
-    bridges = set(find_bridges(staged))
     pool = sorted(
         e for e in staged.edges()
         if e not in bridges and e.u in kept and e.v in kept

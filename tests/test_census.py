@@ -1,4 +1,5 @@
 import json
+import os
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from cubic_lab.census import (
     table_csv,
 )
 from cubic_lab.connectivity import find_bridges
-from cubic_lab.errors import InputError
+from cubic_lab.errors import InputError, InvariantError
 from cubic_lab.graphs import (
     Graph,
     build_graph,
@@ -170,9 +171,9 @@ class TestGeneration:
             searches[0] += 1
             return search(g, root)
 
-        def counting_passes(adj, x, y):
+        def counting_passes(adj, x, y, rest=None):
             built[0] += 1
-            return passes(adj, x, y)
+            return passes(adj, x, y, rest)
 
         monkeypatch.setattr(census, "_search", counting_search)
         monkeypatch.setattr(census, "_passes_parent_filter", counting_passes)
@@ -184,6 +185,34 @@ class TestGeneration:
         assert child_searches == 229
         assert built[0] == 1176
         assert 4 * child_searches < built[0]
+
+    def test_ordered_lazy_filter_equals_plain_scan(self, monkeypatch):
+        # the filter tries the new edges, then the parent's edges by
+        # descending parent invariant, and counts 5-cycles only on 4-cycle
+        # ties; a plain scan of every edge's full invariant must agree on
+        # every child built up to n = 12
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        passes = census._passes_parent_filter
+        verdicts = []
+
+        def plain_scan(adj, x, y):
+            own = census._edge_invariant(adj, x, y)
+            return not any(
+                u < v and census._edge_invariant(adj, u, v) > own
+                and census._reducible(adj, u, v)
+                for u, nbrs in enumerate(adj) for v in nbrs
+            )
+
+        def checking_passes(adj, x, y, rest=None):
+            verdict = passes(adj, x, y, rest)
+            assert verdict == plain_scan(adj, x, y)
+            verdicts.append(verdict)
+            return verdict
+
+        monkeypatch.setattr(census, "_passes_parent_filter", checking_passes)
+        enumerate_cubic(12)
+        assert len(verdicts) == 1176
+        assert verdicts.count(True) == 229
 
     def test_graphs_built_only_for_accepted_children(self, monkeypatch):
         # the filter reads adjacency sets, so a rejected child costs no
@@ -230,6 +259,78 @@ class TestGeneration:
             results.append((rows, graphs))
         assert results[0] == results[1] == results[2]
         assert [row.total_cubic for row in results[0][0]] == [1, 2, 5, 19, 85]
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestLevelPass:
+    """``--jobs`` > 1 forks one worker per share of each level."""
+
+    @staticmethod
+    def _levels_to_6(monkeypatch):
+        # levels 4 and 6 grown in this process, so the census passes over
+        # level 6 (two classes) fork two workers
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        enumerate_graph6(6)
+        return os.getpid()
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (InvariantError, 2, "invariant violation: "),
+        (InputError, 1, "error: "),
+    ])
+    def test_worker_exception_reaches_the_cli(self, monkeypatch, capsys, error, code, prefix):
+        from cubic_lab.cli import main
+
+        parent = self._levels_to_6(monkeypatch)
+
+        def faulty_children(g):
+            raise error("synthetic worker fault" if os.getpid() != parent else "ran in the parent")
+
+        monkeypatch.setattr(census, "_children", faulty_children)
+        assert main(["census", "--n-min", "6", "--n-max", "8", "--jobs", "2"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == prefix + "synthetic worker fault\n"
+        _assert_no_child_process()
+
+    def test_worker_exit_without_result(self, monkeypatch):
+        parent = self._levels_to_6(monkeypatch)
+
+        def exiting_children(g):
+            if os.getpid() == parent:
+                raise AssertionError("ran in the parent")
+            os._exit(3)
+
+        monkeypatch.setattr(census, "_children", exiting_children)
+        with pytest.raises(InvariantError, match="exited with status 3 and sent no result"):
+            census_table(6, 8, jobs=2)
+        assert 8 not in census._ENUMERATED
+        _assert_no_child_process()
+
+    def test_without_fork_runs_serially(self, monkeypatch):
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        serial = census_table(4, 10, jobs=1)
+        monkeypatch.setattr(census, "_ENUMERATED", {})
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(census, "_forked", None)  # never reached
+        assert census_table(4, 10, jobs=2) == serial
+
+    def test_rows_and_levels_same_for_every_jobs_value_from_n_min_8(self, monkeypatch):
+        # levels 4 and 6 are grown but not classified
+        results = []
+        for jobs in (1, 2, 3, 5):
+            monkeypatch.setattr(census, "_ENUMERATED", {})
+            rows = census_table(8, 12, jobs=jobs)
+            results.append((rows, dict(census._ENUMERATED)))
+            _assert_no_child_process()
+        assert all(result == results[0] for result in results)
+        rows, levels = results[0]
+        assert [row.n for row in rows] == [8, 10, 12]
+        assert sorted(levels) == [4, 6, 8, 10, 12]
+        assert [len(levels[n]) for n in sorted(levels)] == [1, 2, 5, 19, 85]
 
 
 class TestCensusTable:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cubic_lab import symmetry
+from cubic_lab import connectivity, symmetry
 from cubic_lab.connectivity import classify_connectivity, find_bridges, most_balanced_bibridge
 from cubic_lab.construction import (
     MEMBER_INSERT,
@@ -95,6 +95,32 @@ class TestBridgeConstruct:
     def test_bridge_input_rejected(self, dumbbell):
         with pytest.raises(InputError, match="bridge"):
             bridge_construct(dumbbell)
+
+    def test_rejection_texts(self, k4, dumbbell):
+        two_k4 = build_graph(8, [(a + o, b + o) for o in (0, 4) for a, b in k4.edges()])
+        path = build_graph(3, [(0, 1), (1, 2)])
+        for g, text in (
+            (k4, "bridge_construct requires a biconnected cubic graph, got three-connected"),
+            (dumbbell, "bridge_construct requires a biconnected cubic graph, got bridge"),
+            (path, "classify_connectivity requires a cubic graph"),
+            (two_k4, "classify_connectivity requires a connected graph"),
+        ):
+            with pytest.raises(InputError) as refused:
+                bridge_construct(g)
+            assert str(refused.value) == text
+
+    def test_source_labelled_once(self, d8, monkeypatch):
+        # the class and the 2-edge-cuts come from one labelling
+        labelled = []
+        labels = connectivity._cycle_labels
+
+        def counting(g):
+            labelled.append(g)
+            return labels(g)
+
+        monkeypatch.setattr(connectivity, "_cycle_labels", counting)
+        bridge_construct(d8)
+        assert sum(g is d8 for g in labelled) == 1
 
     def test_every_biconnected_n_le_8(self):
         from cubic_lab.census import enumerate_cubic

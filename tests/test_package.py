@@ -53,6 +53,17 @@ class TestStartup:
         assert "cubic_lab.construction" not in loaded
         assert "cubic_lab.reduction" not in loaded
 
+    def test_parallel_census_imports_no_pool_or_pickle(self):
+        # forked workers send marshal bytes; only a failing one pickles
+        out = _fresh_python(
+            "import io, sys, contextlib\n"
+            "from cubic_lab.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['census', '--n-min', '4', '--n-max', '10', '--jobs', '2'])\n"
+            "print(code, *sorted(m for m in ('concurrent.futures', 'multiprocessing', 'pickle') if m in sys.modules))"
+        )
+        assert out.split() == ["0"]
+
     def test_package_import_loads_no_submodule(self):
         out = _fresh_python(
             "import sys, cubic_lab\n"

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+from cubic_lab import reduction
 from cubic_lab.connectivity import component_of, find_bridges
 from cubic_lab.construction import bridge_construct
 from cubic_lab.errors import InputError, InvariantError
@@ -405,6 +406,43 @@ class TestStateReductions:
             state(triangle_tower), IsolatedTriangle((0, 1, 2)),
             "does not lie on the working side",
         )
+
+
+class TestDisconnectedGraphs:
+    """Each check that a graph is connected rides on its bridge labelling
+    and keeps its own message."""
+
+    def test_state_of_a_disconnected_graph_rejected(self, k4):
+        two_k4 = build_graph(8, [(a + o, b + o) for o in (0, 4) for a, b in k4.edges()])
+        with pytest.raises(InputError, match="^reducible state needs a connected cubic graph$"):
+            make_reducible_state(two_k4, 0, frozenset({0, 1, 2, 3}), edge(0, 1))
+
+    def test_disconnected_step_result_rejected(self, k4):
+        # a cubic graph two vertices smaller than the 14-vertex state
+        prism = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+        two_prisms = build_graph(12, [(a + o, b + o) for o in (0, 6) for a, b in prism])
+        with pytest.raises(InvariantError, match="^reduction step disconnected the graph$"):
+            reduction._next_state(state(triangle_tower), two_prisms, {}, ())
+
+    def test_disconnected_diamond_staging_rejected(self, monkeypatch):
+        # the staged graph loses its hub-to-second edge, which isolates
+        # the second new vertex
+        edit_graph = reduction.edit_graph
+        calls = []
+
+        def cut_staging(g, **changes):
+            staged = edit_graph(g, **changes)
+            calls.append(staged)
+            if len(calls) > 1:
+                return staged
+            return edit_graph(staged, remove=[(staged.n - 2, staged.n - 1)])
+
+        monkeypatch.setattr(reduction, "edit_graph", cut_staging)
+        with pytest.raises(
+            InvariantError, match="^patching the diamond left the graph disconnected$"
+        ):
+            reduce_case(state(diamond_stalk), AdjacentTriangles((6, 8, 9, 10)))
+        assert len(calls) == 1
 
 
 class TestDeepened:
