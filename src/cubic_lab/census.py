@@ -70,8 +70,9 @@ row is wanted, and grown into its children when the next level is. With
 ``jobs`` > 1 the pass forks w = min(jobs, level size) workers, and worker
 k takes the classes k, k + w, k + 2w, ... of the level. Each sends back its
 (class, Hamiltonicity) counts and its set of child forms as ``marshal``
-bytes through a pipe. Counts add and sets unite, so the rows and levels do
-not depend on ``jobs``.
+bytes through a pipe, and the parent merges each as soon as it has read
+it. Counts add and sets unite, so the rows and levels do not depend on
+``jobs``.
 
 The evidence tables are the census rows (connectivity classes and
 Hamiltonicity counted per n) and the complete-tree probe
@@ -184,7 +185,7 @@ def _passes_parent_filter(
     adj: Sequence[set[int]],
     x: int,
     y: int,
-    rest: Optional[Iterable[tuple[int, int]]] = None,
+    rest: Iterable[tuple[int, int]],
 ) -> bool:
     """False when some reducible edge has a strictly larger
     ``_edge_invariant`` than xy.
@@ -192,12 +193,9 @@ def _passes_parent_filter(
     The verdict does not depend on the order in which edges are tried, so
     the likeliest winners go first: the other edges at x and y, then
     ``rest`` in its order, skipping the pairs that are not edges. ``rest``
-    must hold every other edge (by default, every edge in id order). The
-    invariants are compared lazily, counting 5-cycles only where the
-    4-cycle counts tie, and reducibility is checked only for an edge whose
-    invariant beats xy's."""
-    if rest is None:
-        rest = [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if u < v]
+    must hold every other edge. The invariants are compared lazily,
+    counting 5-cycles only where the 4-cycle counts tie, and reducibility
+    is checked only for an edge whose invariant beats xy's."""
     own4 = _four_cycles(adj, x, y)
     own5 = None
     near = [(x, w) for w in adj[x] if w != y] + [(y, w) for w in adj[y] if w != x]
@@ -290,16 +288,17 @@ def _run_worker(write_fd: int, read_fds: Sequence[int], fn, args: tuple) -> None
         os._exit(status)
 
 
-def _forked(fn, calls: Sequence[tuple]) -> list:
-    """``fn(*args)`` for each ``args`` of ``calls``, each in a forked
-    worker, returned in call order. The package starts no thread, so a
-    fork copies no held lock. Every worker is reaped before this returns
-    or raises. A worker's exception is raised here (the first in call
-    order), and a worker that exits without a result is an
-    ``InvariantError`` naming its exit status."""
+def _forked(fn, calls: Sequence[tuple], merge) -> None:
+    """``merge(fn(*args))`` for each ``args`` of ``calls``, each call in a
+    forked worker, merged in call order as each worker's pipe is read, so
+    the parent holds one worker's result at a time beside the merged
+    whole. The package starts no thread, so a fork copies no held lock.
+    Every worker is reaped before this returns or raises. A worker's
+    exception is raised here (the first in call order), and a worker that
+    exits without a result is an ``InvariantError`` naming its exit
+    status."""
     pids: list[int] = []
     pipes: list[int] = []
-    payloads: list[bytes] = []
     try:
         for args in calls:
             read_fd, write_fd = os.pipe()
@@ -311,26 +310,29 @@ def _forked(fn, calls: Sequence[tuple]) -> list:
                 pids.append(pid)
             finally:
                 os.close(write_fd)
-        for read_fd in pipes:
+        for k, read_fd in enumerate(pipes):
             with open(read_fd, "rb", closefd=False) as src:
-                payloads.append(src.read())
+                payload = src.read()
+            if payload[:1] == b"r":
+                merge(marshal.loads(memoryview(payload)[1:]))
+            elif payload[:1] == b"e":
+                import pickle
+
+                raise pickle.loads(payload[1:])
+            else:
+                # the pipe is at its end, so the worker has exited
+                pid, pids[k] = pids[k], 0
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                raise InvariantError(f"a census worker exited with status {status} and sent no result")
+            del payload  # freed before the next pipe is read
     finally:
         # closed before the waits, so a worker still writing to an unread
         # pipe fails and exits instead of blocking its wait
         for read_fd in pipes:
             os.close(read_fd)
-        statuses = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    results = []
-    for payload, status in zip(payloads, statuses):
-        if payload[:1] == b"r":
-            results.append(marshal.loads(payload[1:]))
-        elif payload[:1] == b"e":
-            import pickle
-
-            raise pickle.loads(payload[1:])
-        else:
-            raise InvariantError(f"a census worker exited with status {status} and sent no result")
-    return results
+        for pid in pids:
+            if pid:
+                os.waitpid(pid, 0)
 
 
 def _pass_share(share: Sequence[str], row: bool, grow: bool) -> tuple[dict, set[bytes]]:
@@ -356,15 +358,17 @@ def _level_pass(level: Sequence[str], row: bool, grow: bool, jobs: int) -> tuple
     sets are merged, so the result does not depend on the split."""
     workers = min(jobs, len(level))
     if workers < 2 or not hasattr(os, "fork"):
-        results = [_pass_share(level, row, grow)]
-    else:
-        results = _forked(_pass_share, [(level[k::workers], row, grow) for k in range(workers)])
-    counts: Counter = Counter()
-    forms: set[bytes] = set()
-    for share_counts, share_forms in results:
-        counts.update(share_counts)
-        forms |= share_forms
-    return counts, forms
+        counts, forms = _pass_share(level, row, grow)
+        return Counter(counts), forms
+    total: Counter = Counter()
+    union: set[bytes] = set()
+
+    def merge(result: tuple[dict, set[bytes]]) -> None:
+        total.update(result[0])
+        union.update(result[1])
+
+    _forked(_pass_share, [(level[k::workers], row, grow) for k in range(workers)], merge)
+    return total, union
 
 
 _ENUMERATED: dict[int, tuple[str, ...]] = {}

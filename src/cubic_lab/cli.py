@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -210,6 +211,8 @@ def _table(args, row_type: type, rows: list) -> str:
 
 
 def _cmd_census(args) -> str:
+    if args.jobs > 1 and not hasattr(os, "fork"):
+        print("warning: this platform has no os.fork, so --jobs runs the census serially", file=sys.stderr)
     return _table(args, CensusRow, census_table(args.n_min, args.n_max, jobs=args.jobs))
 
 

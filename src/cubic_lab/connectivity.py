@@ -143,15 +143,10 @@ def two_edge_cuts(g: Graph) -> tuple[BiBridge, ...]:
     labels = _cycle_labels(g)
     if labels is None:
         raise InputError("two_edge_cuts requires a connected graph")
-    if not all(labels.values()):
-        raise InputError("two_edge_cuts requires a bridgeless graph")
-    return _cuts_from_labels(g, labels)
-
-
-def _cuts_from_labels(g: Graph, labels: dict[tuple[int, int], int]) -> tuple[BiBridge, ...]:
-    """``two_edge_cuts`` of a connected bridgeless graph from its labels."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for e, label in labels.items():
+        if not label:
+            raise InputError("two_edge_cuts requires a bridgeless graph")
         groups.setdefault(label, []).append(e)
     cuts: list[BiBridge] = []
     for group in groups.values():
@@ -204,21 +199,7 @@ def most_balanced_bibridge(g: Graph) -> BiBridge:
     cuts = two_edge_cuts(g)
     if not cuts:
         raise InputError("graph has no bi-bridge (it is three-connected)")
-    return _most_balanced(cuts)
-
-
-def _most_balanced(cuts: tuple[BiBridge, ...]) -> BiBridge:
     return min(cuts, key=lambda bb: (bb.balance, bb.e1, bb.e2))
-
-
-def _balanced_bibridge(g: Graph) -> Optional[BiBridge]:
-    """``most_balanced_bibridge(g)`` from one labelling when g is a
-    biconnected cubic graph, else None."""
-    labels = _cycle_labels(g) if is_cubic(g) else None
-    if not labels or not all(labels.values()):
-        return None
-    cuts = _cuts_from_labels(g, labels)
-    return _most_balanced(cuts) if cuts else None
 
 
 def component_of(g: Graph, v: int, removed: set[Edge]) -> frozenset[int]:

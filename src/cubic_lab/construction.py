@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .connectivity import BiBridge, _balanced_bibridge, classify_connectivity, find_bridges
+from .connectivity import BiBridge, classify_connectivity, find_bridges, most_balanced_bibridge
 from .errors import InputError, InvariantError
 from .graphs import (
     DistanceProfile,
@@ -144,13 +144,14 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
     the output is asserted before the record is returned; a violation is an
     InvariantError, never a silent pass.
     """
-    bb = _balanced_bibridge(g)
-    if bb is None:
+    try:
+        bb = most_balanced_bibridge(g)
+    except InputError:
         # classified only to word the error; classify_connectivity raises
         # its own for a graph that is not cubic or not connected
         raise InputError(
             f"bridge_construct requires a biconnected cubic graph, got {classify_connectivity(g).label}"
-        )
+        ) from None
     label, generators = _choose_side(g, bb)
     active = bb.side_a if label == "a" else bb.side_b
 

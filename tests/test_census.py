@@ -140,8 +140,8 @@ class TestGeneration:
             adj_g = [set(nbrs) for nbrs in g.adj]
             adj_h = [set(nbrs) for nbrs in h.adj]
             for u, v in g.edges():
-                assert census._passes_parent_filter(adj_g, u, v) == (
-                    census._passes_parent_filter(adj_h, *edge(perm[u], perm[v]))
+                assert census._passes_parent_filter(adj_g, u, v, g.edges()) == (
+                    census._passes_parent_filter(adj_h, *edge(perm[u], perm[v]), h.edges())
                 ), (emit_graph6(g), u, v)
 
     def test_reducible_needs_a_connecting_matching(self):
@@ -171,7 +171,7 @@ class TestGeneration:
             searches[0] += 1
             return search(g, root)
 
-        def counting_passes(adj, x, y, rest=None):
+        def counting_passes(adj, x, y, rest):
             built[0] += 1
             return passes(adj, x, y, rest)
 
@@ -203,7 +203,7 @@ class TestGeneration:
                 for u, nbrs in enumerate(adj) for v in nbrs
             )
 
-        def checking_passes(adj, x, y, rest=None):
+        def checking_passes(adj, x, y, rest):
             verdict = passes(adj, x, y, rest)
             assert verdict == plain_scan(adj, x, y)
             verdicts.append(verdict)
@@ -317,6 +317,25 @@ class TestLevelPass:
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(census, "_forked", None)  # never reached
         assert census_table(4, 10, jobs=2) == serial
+
+    def test_results_merged_one_at_a_time_in_call_order(self):
+        merged = []
+        census._forked(pow, [(2, k) for k in range(5)], merged.append)
+        assert merged == [1, 2, 4, 8, 16]
+        _assert_no_child_process()
+
+    def test_without_fork_the_cli_warns(self, monkeypatch, capsys):
+        from cubic_lab.cli import main
+
+        args = ["census", "--n-min", "4", "--n-max", "10", "--jobs"]
+        assert main(args + ["1"]) == 0
+        serial = capsys.readouterr()
+        monkeypatch.delattr(os, "fork")
+        assert main(args + ["2"]) == 0
+        warned = capsys.readouterr()
+        assert warned.out == serial.out
+        assert serial.err == ""
+        assert warned.err == "warning: this platform has no os.fork, so --jobs runs the census serially\n"
 
     def test_rows_and_levels_same_for_every_jobs_value_from_n_min_8(self, monkeypatch):
         # levels 4 and 6 are grown but not classified
