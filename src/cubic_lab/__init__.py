@@ -7,8 +7,11 @@ census/evidence tables on top.
 
 Importing the package loads no submodule. Each exported name and each
 submodule is loaded the first time it is looked up (PEP 562), so a command
-pays only for the modules it runs: ``classify`` and ``census`` never load
-``construction`` or ``reduction``.
+pays only for the modules it runs: ``classify --in`` loads only ``graphs``,
+``connectivity`` and ``hamilton`` (with ``cli`` and ``errors``);
+``enumerate``, ``classify --n`` and ``census`` add ``census`` and
+``symmetry``; none of them loads ``construction``, ``reduction`` or
+``dataclasses``.
 """
 
 import importlib

@@ -75,8 +75,9 @@ it. Counts add and sets unite, so the rows and levels do not depend on
 ``jobs``.
 
 The evidence tables are the census rows (connectivity classes and
-Hamiltonicity counted per n) and the complete-tree probe
-(``conjecture_probe``, ``probe_table``).
+Hamiltonicity counted per n, each graph by ``hamilton.classify_graph``,
+which this module re-exports with ``classify_graph6``) and the
+complete-tree probe (``conjecture_probe``, ``probe_table``).
 """
 
 from __future__ import annotations
@@ -84,14 +85,13 @@ from __future__ import annotations
 import marshal
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import chain, combinations
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .connectivity import classify_connectivity, component_of, find_bridges
+from .connectivity import component_of, find_bridges
 from .errors import InputError, InvariantError
 from .graphs import Graph, bfs_distances, induced_subgraph, parse_graph6
-from .hamilton import CERT_BRIDGE, HamiltonicityResult, has_hamiltonian_cycle
+from .hamilton import classify_graph, classify_graph6  # the latter re-exported
 from .symmetry import (
     _canonical_graph6,
     _check_automorphisms,
@@ -423,8 +423,7 @@ def enumerate_cubic(n: int) -> tuple[Graph, ...]:
 # census rows
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CensusRow:
+class CensusRow(NamedTuple):
     n: int
     total_cubic: int
     hamiltonian: int
@@ -435,29 +434,6 @@ class CensusRow:
     non_ham_and_bridge: int
     non_ham_non3conn: int
     bridge_fraction_of_non_ham: float
-
-
-def classify_graph(g: Graph) -> dict:
-    """Per-graph facts: size, connectivity class and Hamiltonicity."""
-    cls = classify_connectivity(g)
-    if cls.bridge_count:
-        # a cycle through every vertex would cross a bridge twice, so the
-        # bridges already counted answer without a search
-        ham = HamiltonicityResult(False, None, CERT_BRIDGE)
-    else:
-        ham = has_hamiltonian_cycle(g)
-    return {
-        "n": g.n,
-        "bridge_count": cls.bridge_count,
-        "class": cls.label,
-        "is_hamiltonian": ham.is_hamiltonian,
-        "certificate": ham.certificate_kind,
-    }
-
-
-def classify_graph6(g6: str) -> dict:
-    """``classify_graph`` plus the graph6 echo."""
-    return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
 def _row_from_counts(n: int, counts: Counter) -> CensusRow:
@@ -517,10 +493,10 @@ def _csv_cell(value) -> str:
 
 
 def table_csv(row_type: type, rows: Iterable) -> str:
-    """Rows of the dataclass ``row_type`` as CSV: a header of its field
+    """Rows of the NamedTuple ``row_type`` as CSV: a header of its field
     names, then floats to six places, bools in lower case and everything
     else as ``str``."""
-    names = [f.name for f in fields(row_type)]
+    names = row_type._fields
     lines = [",".join(names)]
     lines += [",".join(_csv_cell(getattr(row, name)) for name in names) for row in rows]
     return "\n".join(lines) + "\n"
@@ -530,8 +506,7 @@ def table_csv(row_type: type, rows: Iterable) -> str:
 # complete-tree probe
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BridgeTreeReport:
+class BridgeTreeReport(NamedTuple):
     """Whether some bridge side of the graph carries a near-root region that
     is a complete tree of admissible size."""
 
@@ -574,8 +549,7 @@ def is_complete_tree_at_bridge(h: Graph) -> BridgeTreeReport:
     return BridgeTreeReport(False, None, None)
 
 
-@dataclass(frozen=True)
-class ConjectureProbeRow:
+class ConjectureProbeRow(NamedTuple):
     n: int
     lhs_count: int
     rhs_count: int

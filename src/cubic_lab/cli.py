@@ -4,36 +4,26 @@ All subcommands are deterministic: identical flags produce byte-identical
 output, including under --jobs parallelism (aggregation is order-free).
 Exit codes: 0 success, 1 bad input or usage, 2 broken internal invariant.
 
-``construction`` and ``reduction`` are imported inside the handlers that
-run them (``construct``, ``insert``, ``reduce``, ``verify-lemmas``), and the
-census probe imports ``reduction`` for ``probe``, so ``enumerate``,
-``classify`` and ``census`` never load either.
+At start-up this module loads only ``graphs``, ``connectivity`` and
+``hamilton``, all that ``classify --in`` runs. Every other module, and
+``json``, is imported inside the handlers that use it, so ``classify --in``
+loads neither ``census`` nor ``symmetry``, and ``enumerate``, ``classify``
+and ``census`` never load ``construction`` or ``reduction``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-from .census import (
-    CensusRow,
-    ConjectureProbeRow,
-    census_table,
-    classify_graph,
-    classify_graph6,
-    enumerate_graph6,
-    even_sizes,
-    probe_table,
-    table_csv,
-)
 from .connectivity import classify_connectivity
 from .errors import InputError, InvariantError
 from .graphs import (
+    MODE_FULL,
+    MODE_STABILIZER,
     Graph,
     edge,
     emit_edgelist,
@@ -42,7 +32,7 @@ from .graphs import (
     parse_graph6,
     parse_graph6_lines,
 )
-from .symmetry import MODE_FULL, MODE_STABILIZER
+from .hamilton import classify_graph, classify_graph6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -130,10 +120,14 @@ def _write(out: Optional[str], text: str) -> None:
 
 
 def _json(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_enumerate(args) -> str:
+    from .census import enumerate_graph6
+
     level = enumerate_graph6(args.n)
     if args.format == "edgelist":
         return "".join(emit_edgelist(parse_graph6(g6)) for g6 in level)
@@ -143,7 +137,11 @@ def _cmd_enumerate(args) -> str:
 def _cmd_classify(args) -> str:
     if (args.n is None) == (args.infile is None):
         raise InputError("classify needs exactly one of --n or --in")
+    import json
+
     if args.n is not None:
+        from .census import enumerate_graph6
+
         facts = map(classify_graph6, enumerate_graph6(args.n))
     else:
         facts = ({"graph6": g6, **classify_graph(g)} for g6, g in _read_corpus(args.infile))
@@ -205,22 +203,31 @@ def _cmd_reduce(args) -> str:
 
 
 def _table(args, row_type: type, rows: list) -> str:
+    from .census import table_csv
+
     if args.format == "json":
-        return _json([dataclasses.asdict(row) for row in rows])
+        return _json([row._asdict() for row in rows])
     return table_csv(row_type, rows)
 
 
 def _cmd_census(args) -> str:
+    from .census import CensusRow, census_table
+
     if args.jobs > 1 and not hasattr(os, "fork"):
         print("warning: this platform has no os.fork, so --jobs runs the census serially", file=sys.stderr)
     return _table(args, CensusRow, census_table(args.n_min, args.n_max, jobs=args.jobs))
 
 
 def _cmd_probe(args) -> str:
+    from .census import ConjectureProbeRow, probe_table
+
     return _table(args, ConjectureProbeRow, probe_table(args.n_min, args.n_max))
 
 
 def _cmd_verify(args) -> str:
+    from dataclasses import asdict
+
+    from .census import enumerate_graph6, even_sizes
     from .construction import active_side_bridgeless, bridge_construct, depth_bound_report
 
     if args.infile is not None:
@@ -244,7 +251,7 @@ def _cmd_verify(args) -> str:
             entry.update({
                 "construction_ok": True,
                 "side_all_edges_on_cycles": cyclic,
-                **dataclasses.asdict(bound),
+                **asdict(bound),
             })
             if not cyclic or not bound.holds_stabilizer or not bound.facilitated_complete:
                 hard_failures += 1

@@ -23,16 +23,14 @@ equal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InputError, InvariantError
 from .graphs import Edge, Graph, edge, is_cubic
 
 
-@dataclass(frozen=True)
-class BiBridge:
+class BiBridge(NamedTuple):
     """A 2-edge-cut with its two-sided vertex partition.
 
     ``side_a`` is the side containing vertex 0; ``balance`` is the absolute
@@ -47,8 +45,7 @@ class BiBridge:
     balance: int
 
 
-@dataclass(frozen=True)
-class ConnectivityClass:
+class ConnectivityClass(NamedTuple):
     bridge_count: int
     is_bridge_graph: bool
     is_biconnected: bool

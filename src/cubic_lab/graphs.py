@@ -18,15 +18,30 @@ straight from a labeling without building the relabeled graph. Input may
 carry the ``>>graph6<<`` header and the four-character size field for any
 n; output never has the header and uses the long size field only from
 n = 63 on.
+
+The records here and in ``connectivity``, ``hamilton``, ``symmetry`` and
+``census`` are ``typing.NamedTuple`` classes, and ``Graph`` is a slotted
+class with the value semantics of a frozen dataclass (equal only to
+another ``Graph``, hashable, immutable). None of them uses ``dataclasses``:
+with the ``inspect`` it pulls in, it took about 11 ms of the 55 ms that
+``import cubic_lab.cli`` took with every module compiled from source
+(``python -X importtime``, Python 3.11, 2-core box). So the commands that
+never run ``construction`` or ``reduction``, which keep their dataclasses,
+do not import it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Graph6ParseError, InputError, InvariantError
+
+# the group an edge orbit is taken under: the whole automorphism group, or
+# the stabilizer of a root (``symmetry`` re-exports both, ``insertion_family``
+# takes either, and the CLI offers them as ``--orbit-mode``)
+MODE_FULL = "full"
+MODE_STABILIZER = "stabilizer"
 
 
 class Edge(NamedTuple):
@@ -43,17 +58,28 @@ def edge(a: int, b: int) -> Edge:
     return Edge(a, b) if a < b else Edge(b, a)
 
 
-@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph: no self-loops, no parallel edges.
 
     ``adj[v]`` is the sorted tuple of v's neighbors. Instances validate
     themselves on construction and are hashable, so they can be shared,
-    cached, and sent across workers freely.
+    cached, and sent across workers freely. A graph is equal only to
+    another ``Graph`` with the same ``n`` and ``adj``; its attributes cannot
+    be set or deleted, and unpickling builds it anew, so it is validated
+    again.
     """
+
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[tuple[int, ...], ...]
+
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...]):
+        # validation keeps its dataclass hook name, run once per graph built:
+        # the tests and the benchmark's tracer count constructions through it
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.n < 0:
@@ -74,6 +100,23 @@ class Graph:
             for w in nbrs:
                 if u not in self.adj[w]:
                     raise InvariantError(f"asymmetric edge ({u},{w})")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: Graph is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: Graph is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.n == other.n and self.adj == other.adj
+
+    def __hash__(self):
+        return hash((self.n, self.adj))
+
+    def __reduce__(self):
+        return (self.__class__, (self.n, self.adj))
 
     @property
     def m(self) -> int:
@@ -323,8 +366,7 @@ def parse_edgelist(text: str) -> Graph:
 # traversal
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     """BFS distances from ``root``; None marks unreachable vertices.
 
     ``max_dist`` is the largest finite distance.

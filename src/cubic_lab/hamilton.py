@@ -20,26 +20,30 @@ instead of recursing, so a long path never meets Python's recursion limit.
 It tries neighbours in adjacency order and backtracks as the recursion
 did, so every input keeps its verdict and its witness.
 
-Bridge graphs get the full search too; ``census.classify_graph`` answers
-them from their bridge count instead, with ``CERT_BRIDGE``. Witnesses are
+Bridge graphs get the full search too; ``classify_graph`` answers them
+from their bridge count instead, with ``CERT_BRIDGE``. Witnesses are
 re-verified by an independent checker before being returned.
+
+``classify_graph`` and ``classify_graph6``, the per-graph facts that the
+``classify`` command prints and each census row counts, live here rather
+than in ``census``, so that ``classify`` loads only ``graphs``,
+``connectivity`` and this module. ``census`` re-exports both names.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
+from .connectivity import classify_connectivity
 from .errors import InputError, InvariantError
-from .graphs import Graph, is_connected
+from .graphs import Graph, is_connected, parse_graph6
 
 CERT_CYCLE = "cycle-found"
 CERT_EXHAUSTED = "exhausted"
 CERT_BRIDGE = "bridge-shortcut"
 
 
-@dataclass(frozen=True)
-class HamiltonicityResult:
+class HamiltonicityResult(NamedTuple):
     is_hamiltonian: bool
     witness: Optional[tuple[int, ...]]
     certificate_kind: str
@@ -67,6 +71,29 @@ def has_hamiltonian_cycle(g: Graph) -> HamiltonicityResult:
     if not verify_hamiltonian_cycle(g, witness):
         raise InvariantError("solver produced an invalid Hamiltonian witness")
     return HamiltonicityResult(True, witness, CERT_CYCLE)
+
+
+def classify_graph(g: Graph) -> dict:
+    """Per-graph facts: size, connectivity class and Hamiltonicity."""
+    cls = classify_connectivity(g)
+    if cls.bridge_count:
+        # a cycle through every vertex would cross a bridge twice, so the
+        # bridges already counted answer without a search
+        ham = HamiltonicityResult(False, None, CERT_BRIDGE)
+    else:
+        ham = has_hamiltonian_cycle(g)
+    return {
+        "n": g.n,
+        "bridge_count": cls.bridge_count,
+        "class": cls.label,
+        "is_hamiltonian": ham.is_hamiltonian,
+        "certificate": ham.certificate_kind,
+    }
+
+
+def classify_graph6(g6: str) -> dict:
+    """``classify_graph`` plus the graph6 echo."""
+    return {"graph6": g6, **classify_graph(parse_graph6(g6))}
 
 
 def _first_cycle(g: Graph) -> Optional[tuple[int, ...]]:

@@ -68,29 +68,27 @@ some admitted automorphism maps one onto the other. The root picks the
 group: without one it is Aut(G), with one it is Stab(root), which is what
 distance-from-root arguments need, since only automorphisms fixing the
 root keep distances from it. ``MODE_FULL`` and ``MODE_STABILIZER`` name
-that choice where a caller states it, as ``insertion_family`` does.
+that choice where a caller states it, as ``insertion_family`` does; they
+are defined in ``graphs``, so that the CLI can offer them without loading
+this module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
+from .graphs import MODE_FULL, MODE_STABILIZER  # re-exported for the callers that name a mode
 from .graphs import Edge, Graph, _graph6_bytes, edge
 
 CANON_MAX_N = 24
 GROUP_MAX_N = 16
 
-MODE_FULL = "full"
-MODE_STABILIZER = "stabilizer"
 
-
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Canonical graph6 bytes plus the relabeling (old id -> new id) that
     produces them."""
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -68,6 +70,67 @@ class TestBuildGraph:
     def test_symmetry_enforced_on_construction(self):
         with pytest.raises(InvariantError):
             Graph(2, ((1,), ()))
+
+
+class TestGraphValue:
+    """``Graph`` behaves as the frozen dataclass it replaced: an immutable,
+    hashable value equal only to another ``Graph``."""
+
+    def test_equal_content_equal_and_same_hash(self, k4):
+        other = parse_graph6("C~")
+        assert other is not k4 and other == k4 and hash(other) == hash(k4)
+        assert Graph(n=4, adj=k4.adj) == k4
+        assert build_graph(4, [(0, 1)]) != k4
+
+    def test_not_equal_to_its_fields_as_a_tuple(self, k4):
+        assert k4 != (k4.n, k4.adj) and (k4.n, k4.adj) != k4
+        assert len({k4, (k4.n, k4.adj)}) == 2
+
+    def test_attributes_cannot_be_set_or_deleted(self, k4):
+        with pytest.raises(AttributeError):
+            k4.n = 5
+        with pytest.raises(AttributeError):
+            del k4.adj
+        with pytest.raises(AttributeError):
+            k4.label = "K4"
+        assert k4.n == 4 and k4.m == 6
+
+    def test_pickle_and_copy_rebuild_through_validation(self, k4, d8, monkeypatch):
+        checked = []
+        post_init = Graph.__post_init__
+
+        def counting_post_init(g):
+            checked.append(g.n)
+            post_init(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counting_post_init)
+        for g in (k4, d8):
+            assert pickle.loads(pickle.dumps(g)) == g
+            assert copy.deepcopy(g) == g
+        assert checked == [4, 4, 8, 8]
+
+    def test_post_init_runs_once_per_construction(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(Graph, "__post_init__", lambda g: calls.append(g.n))
+        Graph(3, ((1, 2), (0, 2), (0, 1)))
+        parse_graph6("C~")
+        assert calls == [3, 4]
+
+    def test_repr_lists_the_edges(self, k4):
+        assert repr(k4) == "Graph(n=4, edges=[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])"
+        assert repr(Graph(0, ())) == "Graph(n=0, edges=[])"
+
+    @pytest.mark.parametrize("n, adj, message", [
+        (-1, (), "negative vertex count"),
+        (2, ((1,),), "adjacency length 1 != n=2"),
+        (2, ((5,), ()), "neighbor id 5 of vertex 0 out of range"),
+        (1, ((0,),), "self-loop at vertex 0"),
+        (3, ((2, 1), (0,), (0,)), "adjacency of 0 not strictly increasing"),
+        (2, ((1,), ()), r"asymmetric edge \(0,1\)"),
+    ])
+    def test_malformed_graph_error_texts(self, n, adj, message):
+        with pytest.raises(InvariantError, match=f"^{message}$"):
+            Graph(n, adj)
 
 
 class TestGraph6:

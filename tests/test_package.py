@@ -42,16 +42,46 @@ def _fresh_python(code: str) -> str:
     return done.stdout
 
 
+def _loaded_after(code: str, watched: tuple[str, ...]) -> set[str]:
+    """The ``cubic_lab`` modules and the ``watched`` ones that a fresh
+    interpreter holds after running ``code`` with stdout discarded."""
+    out = _fresh_python(
+        "import contextlib, io, sys\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + f"print(*sorted(m for m in sys.modules if m.startswith('cubic_lab') or m in {watched!r}))"
+    )
+    return set(out.split())
+
+
 class TestStartup:
     def test_cli_import_loads_neither_construction_nor_reduction(self):
-        out = _fresh_python(
-            "import sys, cubic_lab.cli\n"
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('cubic_lab'))))"
+        # classify --in needs graphs, connectivity and hamilton alone; census,
+        # symmetry, construction and reduction load in the handlers that run them
+        loaded = _loaded_after("import cubic_lab.cli", ("dataclasses", "inspect", "json"))
+        assert loaded == {
+            "cubic_lab", "cubic_lab.cli", "cubic_lab.errors", "cubic_lab.graphs",
+            "cubic_lab.connectivity", "cubic_lab.hamilton",
+        }
+
+    def test_classify_in_loads_no_census_symmetry_or_dataclasses(self, tmp_path):
+        corpus = tmp_path / "corpus.g6"
+        corpus.write_text("C~\nEFz_\nIia?W[oKG\n")  # K4, K3,3 and the bridge graph on 10 vertices
+        loaded = _loaded_after(
+            f"from cubic_lab.cli import main\nassert main(['classify', '--in', {str(corpus)!r}]) == 0",
+            ("dataclasses",),
         )
-        loaded = set(out.split())
-        assert "cubic_lab.cli" in loaded and "cubic_lab.census" in loaded
-        assert "cubic_lab.construction" not in loaded
-        assert "cubic_lab.reduction" not in loaded
+        assert "cubic_lab.hamilton" in loaded
+        assert loaded.isdisjoint({"cubic_lab.census", "cubic_lab.symmetry", "dataclasses"})
+
+    @pytest.mark.parametrize("argv", [
+        ["census", "--n-min", "4", "--n-max", "10", "--jobs", "1"],
+        ["enumerate", "--n", "10"],
+    ])
+    def test_census_and_enumerate_load_no_dataclasses_construction_or_reduction(self, argv):
+        loaded = _loaded_after(f"from cubic_lab.cli import main\nassert main({argv!r}) == 0", ("dataclasses",))
+        assert "cubic_lab.census" in loaded
+        assert loaded.isdisjoint({"dataclasses", "cubic_lab.construction", "cubic_lab.reduction"})
 
     def test_parallel_census_imports_no_pool_or_pickle(self):
         # forked workers send marshal bytes; only a failing one pickles
@@ -95,3 +125,42 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             getattr(cubic_lab, "no_such_name")
         assert not hasattr(cubic_lab, "_search")
+
+
+class TestRecordFields:
+    def test_asdict_matches_the_dataclass_form(self):
+        # field order and values as dataclasses.asdict gave them when these
+        # records were frozen dataclasses
+        from cubic_lab.census import census_table, conjecture_probe, is_complete_tree_at_bridge
+        from cubic_lab.connectivity import classify_connectivity, most_balanced_bibridge
+        from cubic_lab.graphs import Edge, bfs_distances, parse_graph6
+        from cubic_lab.hamilton import has_hamiltonian_cycle
+        from cubic_lab.symmetry import canonical_form
+
+        bicon = parse_graph6("GKK}EC")  # the biconnected class on 8 vertices
+        bridge = parse_graph6("Iia?W[oKG")  # the bridge graph on 10 vertices
+        records = [
+            (bfs_distances(bridge, 0),
+             [("root", 0), ("dist", (0, 1, 2, 2, 1, 1, 2, 2, 3, 3)), ("max_dist", 3)]),
+            (most_balanced_bibridge(bicon),
+             [("e1", Edge(0, 3)), ("e2", Edge(1, 2)), ("side_a", frozenset({0, 1, 6, 7})),
+              ("side_b", frozenset({2, 3, 4, 5})), ("balance", 0)]),
+            (classify_connectivity(bridge),
+             [("bridge_count", 1), ("is_bridge_graph", True), ("is_biconnected", False),
+              ("is_three_connected", False)]),
+            (has_hamiltonian_cycle(bicon),
+             [("is_hamiltonian", True), ("witness", (0, 3, 4, 5, 2, 1, 6, 7)),
+              ("certificate_kind", "cycle-found")]),
+            (canonical_form(bicon), [("graph6", b"GKK}EC"), ("labeling", (0, 1, 2, 3, 4, 5, 6, 7))]),
+            (census_table(4, 10)[-1],
+             [("n", 10), ("total_cubic", 19), ("hamiltonian", 17), ("non_hamiltonian", 2),
+              ("bridge", 1), ("biconnected", 4), ("three_connected", 14), ("non_ham_and_bridge", 1),
+              ("non_ham_non3conn", 1), ("bridge_fraction_of_non_ham", 0.5)]),
+            (is_complete_tree_at_bridge(bridge),
+             [("matches", False), ("tree_size", None), ("cycle_orbits", None)]),
+            (conjecture_probe(10),
+             [("n", 10), ("lhs_count", 0), ("rhs_count", 1), ("injection_possible", True)]),
+        ]
+        for record, items in records:
+            assert list(record._asdict().items()) == items, type(record).__name__
+            assert list(record._fields) == [name for name, _ in items]
