@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from .connectivity import classify_connectivity
@@ -97,8 +96,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def _read_graph(path: str) -> Graph:
-    text = Path(path).read_text()
+    text = _read_text(path)
     stripped = text.strip()
     if not stripped:
         raise InputError(f"{path} is empty")
@@ -109,14 +113,15 @@ def _read_graph(path: str) -> Graph:
 
 
 def _read_corpus(path: str) -> list[tuple[str, Graph]]:
-    return parse_graph6_lines(Path(path).read_text())
+    return parse_graph6_lines(_read_text(path))
 
 
 def _write(out: Optional[str], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
 
 
 def _json(payload) -> str:

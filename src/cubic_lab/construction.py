@@ -58,11 +58,11 @@ from .graphs import (
 from .symmetry import (
     MODE_FULL,
     MODE_STABILIZER,
+    _canonical_graph6,
     _check_automorphisms,
     _count_cycle_orbits,
     _edge_orbit_search,
     _orbits_of_edges,
-    canonical_form,
     edge_orbits,
     isomorphic_pairs,
 )
@@ -102,25 +102,27 @@ class ConstructionRecord:
         return side, remap, frozenset(find_bridges(side))
 
 
-def _side_symmetry(sub: Graph) -> tuple[int, list[tuple[int, ...]]]:
-    """``distinct_cycle_edges(sub)`` and the generators of Aut(sub) that
-    its search recorded."""
-    orbits, generators = _edge_orbit_search(sub)
-    return _count_cycle_orbits(sub, orbits), generators
+def _side_symmetry(sub: Graph) -> tuple[int, list[tuple[int, ...]], tuple[int, ...]]:
+    """``distinct_cycle_edges(sub)``, the generators of Aut(sub) that its
+    search recorded and that search's labeling, which is
+    ``canonical_form(sub).labeling``."""
+    orbits, generators, labeling = _edge_orbit_search(sub)
+    return _count_cycle_orbits(sub, orbits), generators, labeling
 
 
 def _choose_side(g: Graph, bb: BiBridge) -> tuple[str, list[tuple[int, ...]]]:
     """``select_active_side`` plus the generators of the winning side's
-    induced subgraph, from the one search per side that decided it."""
+    induced subgraph, from the one search per side that decided it; a tie
+    compares the canonical bytes that search's labeling gives."""
     sub_a, _ = induced_subgraph(g, bb.side_a)
     sub_b, _ = induced_subgraph(g, bb.side_b)
-    count_a, gens_a = _side_symmetry(sub_a)
-    count_b, gens_b = _side_symmetry(sub_b)
+    count_a, gens_a, labeling_a = _side_symmetry(sub_a)
+    count_b, gens_b, labeling_b = _side_symmetry(sub_b)
     if count_a != count_b:
         a_wins = count_a > count_b
     else:
-        form_a = canonical_form(sub_a).graph6
-        form_b = canonical_form(sub_b).graph6
+        form_a = _canonical_graph6(sub_a, labeling_a)
+        form_b = _canonical_graph6(sub_b, labeling_b)
         a_wins = form_a < form_b if form_a != form_b else 0 in bb.side_a
     return ("a", gens_a) if a_wins else ("b", gens_b)
 

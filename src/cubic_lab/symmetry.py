@@ -16,10 +16,16 @@ triangles, then the BFS layer sizes from the vertex, negated, and the
 count of vertices it cannot reach. They come from one bit-parallel pass
 over all vertices and order vertices exactly as (degree, triangles,
 sorted BFS distances) would (proof in ``_vertex_keys``). Their sorted
-multiset is an isomorphism invariant of the whole graph, so
-``isomorphic_pairs`` (and ``are_isomorphic`` through it) compares those
-first and runs the canonical search only on graphs whose keys tie; equal
-canonical graph6 bytes then decide each tied pair.
+multiset is an isomorphism invariant of the whole graph, and so is that
+of the cheaper ``_near_keys``: degree, triangles and the sizes of the
+balls of radius 2 and 3. ``isomorphic_pairs`` (and ``are_isomorphic``
+through it) screens in three stages: sorted near keys, then sorted full
+keys only where near keys tie, then the canonical search only where full
+keys tie; equal canonical graph6 bytes decide each tied pair. A ball's
+size is a partial sum of the layer sizes, so the near key is a function
+of the full key, and the near-key stage never splits graphs whose full
+keys tie: the graphs that reach the search are those of a full-key
+screen alone.
 Refinement keys a vertex by the sorted cell indices of its neighbors. The
 search skips subtrees that are images of earlier ones: two leaves with
 equal codes give an automorphism, and a child in the orbit of an explored
@@ -96,6 +102,18 @@ class CanonicalForm(NamedTuple):
     labeling: tuple[int, ...]
 
 
+def _neighbour_masks(adj: Sequence[Sequence[int]]) -> list[int]:
+    """Each vertex's neighbours as a bitmask: bit w of ``nb[v]`` is set iff
+    w is a neighbour of v."""
+    nb = []
+    for nbrs in adj:
+        mask = 0
+        for w in nbrs:
+            mask |= 1 << w
+        nb.append(mask)
+    return nb
+
+
 def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Cheap isomorphism-invariant vertex signatures on adjacency lists:
     (degree, triangles through v, -s_1, ..., -s_D, u), where s_k is the
@@ -124,10 +142,7 @@ def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     with equal n.
     """
     n = len(adj)
-    nb = [0] * n
-    for v, nbrs in enumerate(adj):
-        for w in nbrs:
-            nb[v] |= 1 << w
+    nb = _neighbour_masks(adj)
     common = [0] * n
     for u, nbrs in enumerate(adj):
         nb_u = nb[u]
@@ -163,6 +178,40 @@ def _vertex_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     for v in range(n):
         keys[v].append(n - size[v])
     return [tuple(k) for k in keys]
+
+
+def _near_keys(adj: Sequence[Sequence[int]]) -> list[tuple[int, int, int, int]]:
+    """Per-vertex (degree, triangles through v, |B_2(v)|, |B_3(v)|), where
+    B_r(v) is the ball of radius r around v: the screen ``isomorphic_pairs``
+    runs before ``_vertex_keys``.
+
+    Two OR rounds over the neighbour bitmasks give the balls: B_2(v) is v
+    and its neighbours' neighbourhoods, and B_3(v) the union of B_2 over v
+    and its neighbours. Triangles through v are half the sum of
+    |nb[v] & nb[w]| over v's neighbours w.
+
+    These keys are a function of ``_vertex_keys``: degree and triangles
+    are its first two entries, and |B_r(v)| = 1 + s_1 + ... + s_r with
+    s_k = 0 past the last layer. So graphs with equal sorted full keys have
+    equal sorted near keys.
+    """
+    nb = _neighbour_masks(adj)
+    ball2 = []
+    for v, nbrs in enumerate(adj):
+        r = nb[v] | 1 << v
+        for w in nbrs:
+            r |= nb[w]
+        ball2.append(r)
+    keys = []
+    for v, nbrs in enumerate(adj):
+        nb_v = nb[v]
+        common = 0
+        r = ball2[v]
+        for w in nbrs:
+            common += (nb_v & nb[w]).bit_count()
+            r |= ball2[w]
+        keys.append((len(nbrs), common >> 1, ball2[v].bit_count(), r.bit_count()))
+    return keys
 
 
 def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[int]]:
@@ -318,21 +367,32 @@ def canonical_form(g: Graph) -> CanonicalForm:
 def isomorphic_pairs(graphs: Sequence[Graph]) -> tuple[tuple[int, int], ...]:
     """The index pairs (i, j), i < j, of isomorphic graphs, in ascending order.
 
-    Graphs are grouped by n and their sorted ``_vertex_keys``, which
-    isomorphic graphs always share. Only a graph whose key another graph
-    shares gets a canonical search, and equal canonical graph6 bytes decide
-    each pair within a group. So the canonical cap applies only where keys
-    tie.
+    Graphs are grouped by n, then by three keys in turn, each computed only
+    for the graphs that tied on every key before it: their sorted
+    ``_near_keys``, their sorted ``_vertex_keys`` and their canonical graph6
+    bytes. Isomorphic graphs share all four, and the last decides
+    isomorphism, so the pairs are those of the final groups. The near keys
+    are a function of the full keys, so the near-key stage splits no group
+    that the full keys would keep together: the graphs that reach
+    ``canonical_form``, and so the canonical cap, are exactly those whose
+    n and sorted full keys another graph shares.
     """
-    by_key: dict[tuple, list[int]] = {}
-    for i, g in enumerate(graphs):
-        by_key.setdefault((g.n, tuple(sorted(_vertex_keys(g.adj)))), []).append(i)
-    pairs = []
-    for tied in by_key.values():
-        if len(tied) > 1:
-            forms = [(i, canonical_form(graphs[i]).graph6) for i in tied]
-            pairs.extend((i, j) for (i, a), (j, b) in combinations(forms, 2) if a == b)
-    return tuple(sorted(pairs))
+    stages = (
+        lambda g: g.n,
+        lambda g: tuple(sorted(_near_keys(g.adj))),
+        lambda g: tuple(sorted(_vertex_keys(g.adj))),
+        lambda g: canonical_form(g).graph6,
+    )
+    groups: list[Sequence[int]] = [range(len(graphs))]
+    for key in stages:
+        tied = []
+        for group in groups:
+            by_key: dict[object, list[int]] = {}
+            for i in group:
+                by_key.setdefault(key(graphs[i]), []).append(i)
+            tied.extend(same for same in by_key.values() if len(same) > 1)
+        groups = tied
+    return tuple(sorted(pair for same in groups for pair in combinations(same, 2)))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -416,15 +476,17 @@ def _orbits_of_edges(
 
 def _edge_orbit_search(
     g: Graph, root: Optional[int] = None
-) -> tuple[tuple[tuple[Edge, ...], ...], list[tuple[int, ...]]]:
-    """``edge_orbits(g, root)`` and the checked generators it came from."""
+) -> tuple[tuple[tuple[Edge, ...], ...], list[tuple[int, ...]], tuple[int, ...]]:
+    """``edge_orbits(g, root)``, the checked generators it came from and
+    the search's labeling; without a root that labeling is
+    ``canonical_form(g).labeling`` for n >= 1."""
     if root is not None and not 0 <= root < g.n:
         raise InputError(f"vertex {root} out of range")
     if g.n > CANON_MAX_N:
         raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
-    _, generators, edges = _search(g, root) if g.n else ((), [], ())
+    labeling, generators, edges = _search(g, root) if g.n else ((), [], ())
     _check_automorphisms(edges, generators, root)
-    return _orbits_of_edges(edges, generators), generators
+    return _orbits_of_edges(edges, generators), generators, labeling
 
 
 def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...], ...]:

@@ -331,17 +331,31 @@ def orderly_connected_cubic(n: int):
 # every cell and walks every leaf, so the two must agree on the graph6 bytes
 # and on the labeling (the first leaf reaching the least code).
 
+def _oracle_triangles(g: Graph, v: int) -> int:
+    nbrs = g.adj[v]
+    return sum(
+        1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
+        if g.has_edge(nbrs[i], nbrs[j])
+    )
+
+
 def oracle_vertex_keys(g: Graph) -> list:
     keys = []
     for v in range(g.n):
         profile = bfs_distances(g, v)
         dists = tuple(sorted(g.n if d is None else d for d in profile.dist))
-        nbrs = g.adj[v]
-        triangles = sum(
-            1 for i in range(len(nbrs)) for j in range(i + 1, len(nbrs))
-            if g.has_edge(nbrs[i], nbrs[j])
-        )
-        keys.append((len(nbrs), triangles, dists))
+        keys.append((len(g.adj[v]), _oracle_triangles(g, v), dists))
+    return keys
+
+
+def oracle_near_keys(g: Graph) -> list:
+    """(degree, triangles, vertices within distance 2, vertices within
+    distance 3) per vertex, from one BFS each."""
+    keys = []
+    for v in range(g.n):
+        dist = [d for d in bfs_distances(g, v).dist if d is not None]
+        keys.append((len(g.adj[v]), _oracle_triangles(g, v),
+                     sum(d <= 2 for d in dist), sum(d <= 3 for d in dist)))
     return keys
 
 

@@ -164,9 +164,8 @@ class TestDepthBound:
     def test_two_unrooted_searches_per_record(self, d8, monkeypatch):
         # the one search per side that picks the active side is all the
         # record, its stabilizer-mode family and its report need. d8's
-        # sides tie, so the cached canonical form of the side is warmed
-        # first and only the searches a record runs itself are counted
-        bridge_construct(d8)
+        # sides tie on cycle orbits, and the tie-break reads the canonical
+        # bytes from those two searches' labelings
         search = symmetry._search
         roots = []
 

@@ -34,11 +34,12 @@ EXPORTS = {
 SUBMODULES = (*EXPORTS, "cli")
 
 
-def _fresh_python(code: str) -> str:
-    """stdout of ``code`` run in a new interpreter that finds this package."""
+def _fresh_python(code: str, *flags: str) -> str:
+    """stdout of ``code`` run in a new interpreter, started with the
+    interpreter ``flags``, that finds this package."""
     src = str(Path(cubic_lab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = subprocess.run([sys.executable, *flags, "-c", code], env=env, capture_output=True, text=True, check=True)
     return done.stdout
 
 
@@ -63,6 +64,11 @@ class TestStartup:
             "cubic_lab", "cubic_lab.cli", "cubic_lab.errors", "cubic_lab.graphs",
             "cubic_lab.connectivity", "cubic_lab.hamilton",
         }
+
+    def test_cli_import_loads_no_pathlib_without_site(self):
+        # -S keeps site (and any .pth file it runs) from loading pathlib first
+        out = _fresh_python("import sys, cubic_lab.cli\nprint('pathlib' in sys.modules)", "-S")
+        assert out.split() == ["False"]
 
     def test_classify_in_loads_no_census_symmetry_or_dataclasses(self, tmp_path):
         corpus = tmp_path / "corpus.g6"

@@ -25,6 +25,7 @@ from oracles import (
     oracle_distinct_cycle_edges,
     oracle_edge_orbits,
     oracle_isomorphic,
+    oracle_near_keys,
     oracle_vertex_keys,
 )
 
@@ -111,13 +112,15 @@ class TestVertexKeysMatchDistanceOracle:
     """The layer-size keys must order vertices exactly as the oracle's
     (degree, triangles, sorted BFS distances) keys do: every vertex pair of
     a graph compares the same way, and graphs with equal n have equal
-    sorted keys under one exactly when they do under the other."""
+    sorted keys under one exactly when they do under the other. The near
+    keys must equal the oracle's ball sizes."""
 
     def _check(self, graphs):
         ours = [symmetry._vertex_keys(g.adj) for g in graphs]
         theirs = [oracle_vertex_keys(g) for g in graphs]
         for g, a, b in zip(graphs, ours, theirs):
             assert _comparisons(a) == _comparisons(b), g
+            assert symmetry._near_keys(g.adj) == oracle_near_keys(g), g
         tied = {}
         for i, g in enumerate(graphs):
             tied.setdefault(g.n, []).append(i)
@@ -265,6 +268,103 @@ class TestIsomorphicPairs:
         assert isomorphic_pairs([one, two]) == ()
         with pytest.raises(InputError, match="canonical_form supports at most"):
             isomorphic_pairs([one, relabel(one, list(range(one.n))[::-1])])
+
+
+def _classes_up_to(n_max):
+    from cubic_lab.census import enumerate_cubic
+
+    return [g for n in range(4, n_max + 1, 2) for g in enumerate_cubic(n)]
+
+
+def _family_members_up_to_14():
+    from cubic_lab.connectivity import classify_connectivity
+    from cubic_lab.construction import bridge_construct, insertion_family
+
+    graphs = [g for g in _classes_up_to(14) if classify_connectivity(g).is_biconnected]
+    assert len(graphs) == 168
+    return [m.graph for g in graphs for m in insertion_family(bridge_construct(g)).members]
+
+
+def _sorted_keys(key, g):
+    return tuple(sorted(key(g.adj)))
+
+
+class TestNearKeyScreen:
+    """``isomorphic_pairs`` groups by n and sorted near keys first, computes
+    full vertex keys only inside near-key ties and searches only inside
+    full-key ties; the near keys are a function of the full keys, so the
+    graphs that reach the search are those of a full-key screen alone."""
+
+    def _spy(self, monkeypatch, name):
+        seen = []
+        original = getattr(symmetry, name)
+
+        def spy(arg):
+            seen.append(arg)
+            return original(arg)
+
+        monkeypatch.setattr(symmetry, name, spy)
+        return seen
+
+    def test_equal_full_keys_imply_equal_near_keys(self):
+        graphs = _classes_up_to(12) + _family_members_up_to_14()
+        by_full = {}
+        for g in graphs:
+            by_full.setdefault((g.n, _sorted_keys(symmetry._vertex_keys, g)), []).append(g)
+        tied = [same for same in by_full.values() if len(same) > 1]
+        assert tied
+        for same in tied:
+            assert len({_sorted_keys(symmetry._near_keys, g) for g in same}) == 1, same
+
+    def test_near_alike_members_get_full_keys_but_no_search(self, monkeypatch):
+        # two members of the family of MAop@C?_GUI?_K@H? that only the full
+        # keys tell apart
+        a = parse_graph6("QAOo@C?_GUI?_K@@OC??@I?CA@O")
+        b = parse_graph6("QAOp@C?_GQI?_K@@OC??@A_C?HO")
+        assert _sorted_keys(symmetry._near_keys, a) == _sorted_keys(symmetry._near_keys, b)
+        assert _sorted_keys(symmetry._vertex_keys, a) != _sorted_keys(symmetry._vertex_keys, b)
+        keyed = self._spy(monkeypatch, "_vertex_keys")
+        searched = self._spy(monkeypatch, "canonical_form")
+        assert isomorphic_pairs([a, b]) == ()
+        assert sorted(map(id, keyed)) == sorted([id(a.adj), id(b.adj)])
+        assert searched == []
+
+    def test_distinct_near_keys_never_get_full_keys(self, monkeypatch):
+        from cubic_lab.construction import bridge_construct, insertion_family
+
+        family = insertion_family(bridge_construct(parse_graph6("MAop@C?_GUI?_K@H?"))).members
+        graphs = _classes_up_to(12) + [m.graph for m in family]
+        screen = {}
+        for g in graphs:
+            screen.setdefault((g.n, _sorted_keys(symmetry._near_keys, g)), []).append(g)
+        shared = [g for same in screen.values() if len(same) > 1 for g in same]
+        assert shared and len(shared) < len(graphs)
+        keyed = self._spy(monkeypatch, "_vertex_keys")
+        isomorphic_pairs(graphs)
+        # the canonical search keys its start partition too, so ids repeat
+        assert set(map(id, keyed)) == {id(g.adj) for g in shared}
+
+    def test_family_pairs_match_the_oracle_under_relabelings(self):
+        # each family of the 168 biconnected classes up to n = 14, built from
+        # 2 seeded relabelings of its source, plus a relabeled copy of one
+        # member so that every family holds a true pair
+        from cubic_lab.connectivity import classify_connectivity
+        from cubic_lab.construction import bridge_construct, insertion_family
+
+        rng = random.Random(47)
+        sources = [g for g in _classes_up_to(14) if classify_connectivity(g).is_biconnected]
+        assert len(sources) == 168
+        for g in sources:
+            for _ in range(2):
+                h = relabel(g, rng.sample(range(g.n), g.n))
+                members = [m.graph for m in insertion_family(bridge_construct(h)).members]
+                copy = rng.choice(members)
+                members.append(relabel(copy, rng.sample(range(copy.n), copy.n)))
+                forms = [oracle_canonical_form(m)[0] for m in members]
+                expected = tuple((i, j) for i, j in combinations(range(len(members)), 2)
+                                 if forms[i] == forms[j])
+                assert len(expected) >= 1
+                assert isomorphic_pairs(members) == expected, g
 
 
 class TestAutomorphismGroup:
