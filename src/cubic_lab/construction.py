@@ -32,8 +32,9 @@ are the active ends of the two cut edges.
     in exactly one way: fix the root and send open_i where near_i goes.
 Restriction and extension are inverse isomorphisms between Aut(S+) and
 Aut(S), so the extended generators of Aut(S) generate Aut(S+), and their
-edge classes are both the root-stabilizer orbits and the full-group orbits
-of S+. Every extended generator is still checked against the edges of S+.
+edge classes are the orbits of Aut(S+), which is the root's stabilizer: the
+orbits that distance arguments from the root need. Every extended generator
+is still checked against the edges of S+, and checked to fix the root.
 """
 
 from __future__ import annotations
@@ -56,14 +57,12 @@ from .graphs import (
     is_cubic,
 )
 from .symmetry import (
-    MODE_FULL,
     MODE_STABILIZER,
     _canonical_graph6,
     _check_automorphisms,
     _count_cycle_orbits,
     _edge_orbit_search,
     _orbits_of_edges,
-    edge_orbits,
     isomorphic_pairs,
 )
 
@@ -95,11 +94,12 @@ class ConstructionRecord:
         return induced_subgraph(self.augmented, self.active_side)
 
     @cached_property
-    def _side_with_bridges(self) -> tuple[Graph, dict[int, int], frozenset[Edge]]:
-        # built once per record: every cycle_insertion of a family, the
-        # full-group orbits and the bridgeless check need it
+    def _side_bridges(self) -> tuple[dict[int, int], frozenset[Edge]]:
+        # the side_subgraph remap and the side's bridges in its ids, built
+        # once per record: every cycle_insertion of a family, the family's
+        # skip of bridge orbits and the bridgeless check need them
         side, remap = self.side_subgraph()
-        return side, remap, frozenset(find_bridges(side))
+        return remap, frozenset(find_bridges(side))
 
 
 def _side_symmetry(sub: Graph) -> tuple[int, list[tuple[int, ...]], tuple[int, ...]]:
@@ -110,10 +110,16 @@ def _side_symmetry(sub: Graph) -> tuple[int, list[tuple[int, ...]], tuple[int, .
     return _count_cycle_orbits(sub, orbits), generators, labeling
 
 
-def _choose_side(g: Graph, bb: BiBridge) -> tuple[str, list[tuple[int, ...]]]:
-    """``select_active_side`` plus the generators of the winning side's
-    induced subgraph, from the one search per side that decided it; a tie
-    compares the canonical bytes that search's labeling gives."""
+def select_active_side(g: Graph, bb: BiBridge) -> tuple[str, list[tuple[int, ...]]]:
+    """Which side of the bi-bridge hosts the construction, "a" or "b", and
+    the generators of Aut(side) for the winning side's induced subgraph.
+
+    The winner is the side whose induced subgraph has more distinct cycle
+    edges (measured with that subgraph's own automorphism group). Ties go to
+    the lexicographically smaller canonical form, then to the side holding
+    vertex 0. One search per side decides it: a tie compares the canonical
+    bytes that search's labeling gives.
+    """
     sub_a, _ = induced_subgraph(g, bb.side_a)
     sub_b, _ = induced_subgraph(g, bb.side_b)
     count_a, gens_a, labeling_a = _side_symmetry(sub_a)
@@ -125,17 +131,6 @@ def _choose_side(g: Graph, bb: BiBridge) -> tuple[str, list[tuple[int, ...]]]:
         form_b = _canonical_graph6(sub_b, labeling_b)
         a_wins = form_a < form_b if form_a != form_b else 0 in bb.side_a
     return ("a", gens_a) if a_wins else ("b", gens_b)
-
-
-def select_active_side(g: Graph, bb: BiBridge) -> str:
-    """Which side of the bi-bridge hosts the construction: "a" or "b".
-
-    The winner is the side whose induced subgraph has more distinct cycle
-    edges (measured with that subgraph's own automorphism group). Ties go to
-    the lexicographically smaller canonical form, then to the side holding
-    vertex 0.
-    """
-    return _choose_side(g, bb)[0]
 
 
 def bridge_construct(g: Graph) -> ConstructionRecord:
@@ -154,7 +149,7 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
         raise InputError(
             f"bridge_construct requires a biconnected cubic graph, got {classify_connectivity(g).label}"
         ) from None
-    label, generators = _choose_side(g, bb)
+    label, generators = select_active_side(g, bb)
     active = bb.side_a if label == "a" else bb.side_b
 
     def split(cut: Edge) -> tuple[int, int]:
@@ -221,24 +216,21 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
 class DepthBoundReport:
     """Distinct-edge counts of the active side versus its BFS depth.
 
+    ``orbit_count_stabilizer`` counts the record's side orbits, the orbits
+    of Aut(side), which is the root's stabilizer (module docstring).
     ``holds_stabilizer`` is the load-bearing bound: orbits under root-fixing
     automorphisms cannot merge edges that reach different depths, so the
-    orbit count is at least ``max_dist``. The full-group count is reported
-    alongside it. On the augmented active side no automorphism moves the
-    root (module docstring), so the two counts, and the two verdicts, are
-    always equal.
+    orbit count is at least ``max_dist``.
     """
 
     max_dist: int
-    orbit_count_full: int
     orbit_count_stabilizer: int
-    holds_full_group: bool
     holds_stabilizer: bool
     facilitated_complete: bool
 
 
 def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
-    full = stab = len(rec.side_orbits)
+    stab = len(rec.side_orbits)
     d = rec.profile.max_dist
     dist = rec.profile.dist
     facilitated = set()
@@ -249,9 +241,7 @@ def depth_bound_report(rec: ConstructionRecord) -> DepthBoundReport:
     complete = all(level in facilitated for level in range(1, d + 1))
     return DepthBoundReport(
         max_dist=d,
-        orbit_count_full=full,
         orbit_count_stabilizer=stab,
-        holds_full_group=full >= d,
         holds_stabilizer=stab >= d,
         facilitated_complete=complete,
     )
@@ -263,7 +253,7 @@ def active_side_bridgeless(rec: ConstructionRecord) -> bool:
     Expected true for every record the construction emits; callers treat a
     false return as a construction bug.
     """
-    _, _, side_bridges = rec._side_with_bridges
+    _, side_bridges = rec._side_bridges
     return not side_bridges
 
 
@@ -300,7 +290,7 @@ def _refusal(rec: ConstructionRecord, e: Edge) -> Optional[str]:
         return "is not an edge of the active side"
     if e.u in rec.open_nodes or e.v in rec.open_nodes:
         return "touches an open node"
-    _, remap, side_bridges = rec._side_with_bridges
+    remap, side_bridges = rec._side_bridges
     if edge(remap[e.u], remap[e.v]) in side_bridges:
         return "is not on a cycle of the active side"
     if not _insertion_pairings(rec, e):
@@ -393,28 +383,27 @@ class InsertionFamily:
 
 
 def insertion_family(rec: ConstructionRecord, mode: str = MODE_STABILIZER) -> InsertionFamily:
-    """One member per distinct-cycle-edge orbit of the active side, under the
-    root's stabilizer (``MODE_STABILIZER``) or the side's full group
-    (``MODE_FULL``).
+    """One member per distinct-cycle-edge orbit of the active side: the
+    record's side orbits, under the root's stabilizer.
+
+    ``mode`` accepts only ``MODE_STABILIZER``; any other value is an
+    InputError. It stays only because ``perfbench/jobs.py`` passes it; it
+    can go when that benchmark job changes.
 
     Orbit representatives are the least ``insertable_edges`` of the orbit
     whenever it has one; orbits with no insertable edge collapse into the
     single join-open-nodes member. Isomorphism collisions between members
     (``isomorphic_pairs``) are reported, never dropped.
     """
-    side, remap, side_bridges = rec._side_with_bridges
-    if mode == MODE_STABILIZER:
-        orbits = rec.side_orbits
-    elif mode == MODE_FULL:
-        orbits = edge_orbits(side)
-    else:
+    if mode != MODE_STABILIZER:
         raise InputError(f"unknown orbit mode {mode!r}")
+    remap, side_bridges = rec._side_bridges
     inverse = {new: old for old, new in remap.items()}
     insertable = set(insertable_edges(rec))
 
     members: list[FamilyMember] = []
     blocked_reps: list[Edge] = []
-    for orbit in orbits:
+    for orbit in rec.side_orbits:
         if orbit[0] in side_bridges:
             continue
         edges = [edge(inverse[e.u], inverse[e.v]) for e in orbit]

@@ -37,12 +37,6 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import Graph6ParseError, InputError, InvariantError
 
-# the group an edge orbit is taken under: the whole automorphism group, or
-# the stabilizer of a root (``symmetry`` re-exports both, ``insertion_family``
-# takes either, and the CLI offers them as ``--orbit-mode``)
-MODE_FULL = "full"
-MODE_STABILIZER = "stabilizer"
-
 
 class Edge(NamedTuple):
     """An undirected edge in canonical orientation (u < v)."""

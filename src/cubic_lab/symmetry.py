@@ -58,25 +58,15 @@ generate A_k.
     v_{k+1}, so h g lies in A_{k+1}, which R generates.
 With k = 0, R generates Aut(G).
 
-A root r runs the same search with r split out of its key cell as a
-singleton placed first, as ``visit`` individualizes a vertex; call that
-node m_0. Every automorphism preserves the key partition, so the
-automorphisms that preserve m_0 are exactly those fixing r. The induction
-above, started at m_0 with A_k the automorphisms fixing r, v_1, ..., v_k,
-goes through unchanged: r keeps its position at every node below m_0, so
-every recorded map fixes it, and at k = 0 R generates Stab(r). With or
-without a root the edge orbits are the classes of edges that R joins, so
-no group is listed. Every recorded permutation is still checked against
-the edge set.
+The edge orbits are the classes of edges that R joins, so no group is
+listed. Every recorded permutation is still checked against the edge set.
 
 "Distinct" edges follow the orbit view: two edges are interchangeable when
-some admitted automorphism maps one onto the other. The root picks the
-group: without one it is Aut(G), with one it is Stab(root), which is what
-distance-from-root arguments need, since only automorphisms fixing the
-root keep distances from it. ``MODE_FULL`` and ``MODE_STABILIZER`` name
-that choice where a caller states it, as ``insertion_family`` does; they
-are defined in ``graphs``, so that the CLI can offer them without loading
-this module.
+some automorphism maps one onto the other. The group is always Aut(G).
+Distance-from-root arguments need the root's stabilizer, since only
+automorphisms fixing the root keep distances from it; on the construction's
+augmented active side no automorphism moves the root, so there the two
+coincide (proof in ``construction``).
 """
 
 from __future__ import annotations
@@ -87,11 +77,13 @@ from typing import NamedTuple, Optional, Sequence
 
 from .connectivity import find_bridges
 from .errors import InputError, InvariantError
-from .graphs import MODE_FULL, MODE_STABILIZER  # re-exported for the callers that name a mode
 from .graphs import Edge, Graph, _graph6_bytes, edge
 
 CANON_MAX_N = 24
 GROUP_MAX_N = 16
+# the one orbit mode ``insertion_family`` accepts: edge orbits under the
+# root's stabilizer, which on the augmented active side is Aut(side)
+MODE_STABILIZER = "stabilizer"
 
 
 class CanonicalForm(NamedTuple):
@@ -253,31 +245,19 @@ def _refine(adj: Sequence[Sequence[int]], cells: list[list[int]]) -> list[list[i
     return cells
 
 
-def _search(
-    g: Graph, root: Optional[int] = None
-) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[Edge, ...]]:
+def _search(g: Graph) -> tuple[tuple[int, ...], list[tuple[int, ...]], tuple[Edge, ...]]:
     """The individualization-refinement search on a graph with n >= 1:
     the labeling (old id -> new id) of the first leaf reaching the least
     code, the automorphisms recorded at leaves with equal codes, and
     ``g.edges()``, which the leaf codes read, so that a caller that needs
-    the edges too lists them once per search. With a
-    root, the search starts with the root split out of its key cell as a
-    singleton placed first, so every recorded automorphism fixes it and
-    together they generate its stabilizer (module docstring). No cap and no
-    cache; ``canonical_form`` and ``automorphism_group`` add both, and
+    the edges too lists them once per search. No cap and no cache;
+    ``canonical_form`` and ``automorphism_group`` add both, and
     ``edge_orbits`` adds the cap."""
     n = g.n
     adj = g.adj
     by_key: dict[tuple, list[int]] = {}
     for v, k in enumerate(_vertex_keys(adj)):
         by_key.setdefault(k, []).append(v)
-    start = [by_key[k] for k in sorted(by_key)]
-    path: list[int] = []
-    if root is not None:
-        i = next(i for i, c in enumerate(start) if root in c)
-        rest = [w for w in start[i] if w != root]
-        start[i:i + 1] = [[root], rest] if rest else [[root]]
-        path.append(root)
     edges = g.edges()
     best_code: Optional[list[int]] = None
     best_labeling: Optional[tuple[int, ...]] = None
@@ -336,7 +316,7 @@ def _search(
             visit(cells[:target] + [[v], rest] + cells[target + 1:], path + [v])
             explored.append(v)
 
-    visit(start, path)
+    visit([by_key[k] for k in sorted(by_key)], [])
     assert best_labeling is not None
     return best_labeling, automorphisms, edges
 
@@ -475,30 +455,25 @@ def _orbits_of_edges(
 
 
 def _edge_orbit_search(
-    g: Graph, root: Optional[int] = None
+    g: Graph,
 ) -> tuple[tuple[tuple[Edge, ...], ...], list[tuple[int, ...]], tuple[int, ...]]:
-    """``edge_orbits(g, root)``, the checked generators it came from and
-    the search's labeling; without a root that labeling is
-    ``canonical_form(g).labeling`` for n >= 1."""
-    if root is not None and not 0 <= root < g.n:
-        raise InputError(f"vertex {root} out of range")
+    """``edge_orbits(g)``, the checked generators it came from and the
+    search's labeling, which is ``canonical_form(g).labeling`` for n >= 1."""
     if g.n > CANON_MAX_N:
         raise InputError(f"edge_orbits supports at most {CANON_MAX_N} vertices")
-    labeling, generators, edges = _search(g, root) if g.n else ((), [], ())
-    _check_automorphisms(edges, generators, root)
+    labeling, generators, edges = _search(g) if g.n else ((), [], ())
+    _check_automorphisms(edges, generators)
     return _orbits_of_edges(edges, generators), generators, labeling
 
 
-def edge_orbits(g: Graph, root: Optional[int] = None) -> tuple[tuple[Edge, ...], ...]:
-    """Partition the edges into orbits: under Aut(G) without a root, under
-    the root's stabilizer with one.
+def edge_orbits(g: Graph) -> tuple[tuple[Edge, ...], ...]:
+    """Partition the edges into orbits under Aut(G).
 
     The orbits are the classes of edges joined by the generators the
-    canonical search records, individualizing the root first when there
-    is one. No group is listed, so the cap is the canonical one. Orbits
-    are sorted, in the order of their least edges.
+    canonical search records. No group is listed, so the cap is the
+    canonical one. Orbits are sorted, in the order of their least edges.
     """
-    return _edge_orbit_search(g, root)[0]
+    return _edge_orbit_search(g)[0]
 
 
 def _count_cycle_orbits(g: Graph, orbits: Sequence[Sequence[Edge]]) -> int:

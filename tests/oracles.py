@@ -2,7 +2,8 @@
 algorithms: edge/pair deletion for cuts, perfect matchings with a connected
 complement for cubic Hamiltonicity and a scan of every vertex order for
 Hamiltonicity of any graph, permutation scans for isomorphism
-and automorphisms, exhaustive labeled generation, a second (orderly,
+and automorphisms, exhaustive labeled generation and a count of labeled
+connected cubic graphs that generates none, a second (orderly,
 canonical-matrix) generator for cross-checking the enumerator, the
 unpruned canonical-form search with its vertex keys, the vertex-image
 automorphism backtracker, and the former saturation enumerator with its
@@ -13,7 +14,9 @@ library."""
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Iterator
 
 from cubic_lab.errors import Graph6ParseError, InputError
@@ -214,6 +217,44 @@ def labeled_connected_cubic(n: int):
     for adj in labeled_cubic_graphs(n):
         if _is_connected_adj(adj):
             yield build_graph(n, [(u, w) for u in range(n) for w in adj[u] if u < w])
+
+
+def labeled_connected_cubic_counts(n_max: int) -> list:
+    """c[n] for n = 0 .. n_max: the number of labeled connected cubic graphs
+    on n vertices (OEIS A004109), counted without generating any.
+
+    f(c1, c2, c3) counts the labeled simple graphs on c1 + c2 + c3 vertices
+    in which c_i vertices still need exactly i edges. A fixed vertex of the
+    highest need r picks j_i neighbours of need i (j1 + j2 + j3 = r), and
+    each neighbour's need drops by one. So a_n = f(0, 0, n) counts every
+    labeled cubic graph (A002829). The exponential formula, which splits off
+    the component of one fixed vertex, a_n = sum over k of
+    C(n - 1, k - 1) c_k a_{n - k}, gives the connected counts c_n.
+    """
+    @lru_cache(maxsize=None)
+    def f(c1: int, c2: int, c3: int) -> int:
+        if c3:
+            r, c3 = 3, c3 - 1
+        elif c2:
+            r, c2 = 2, c2 - 1
+        elif c1:
+            r, c1 = 1, c1 - 1
+        else:
+            return 1
+        total = 0
+        for j3 in range(min(r, c3) + 1):
+            for j2 in range(min(r - j3, c2) + 1):
+                j1 = r - j3 - j2
+                if j1 <= c1:
+                    ways = comb(c1, j1) * comb(c2, j2) * comb(c3, j3)
+                    total += ways * f(c1 - j1 + j2, c2 - j2 + j3, c3 - j3)
+        return total
+
+    a = [f(0, 0, n) for n in range(n_max + 1)]
+    c = [0] * (n_max + 1)
+    for n in range(1, n_max + 1):
+        c[n] = a[n] - sum(comb(n - 1, k - 1) * c[k] * a[n - k] for k in range(1, n))
+    return c
 
 
 # ---------------------------------------------------------------------------

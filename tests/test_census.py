@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from math import factorial
 
 import pytest
 
@@ -37,7 +38,12 @@ from cubic_lab.reduction import is_complete_tree
 from cubic_lab.symmetry import canonical_form
 
 from conftest import make_dumbbell
-from oracles import oracle_enumerate
+from oracles import (
+    labeled_connected_cubic,
+    labeled_connected_cubic_counts,
+    oracle_automorphism_group,
+    oracle_enumerate,
+)
 
 
 class TestEnumerate:
@@ -167,9 +173,9 @@ class TestGeneration:
         searches, built = [0], [0]
         search, passes = census._search, census._passes_parent_filter
 
-        def counting_search(g, root=None):
+        def counting_search(g):
             searches[0] += 1
-            return search(g, root)
+            return search(g)
 
         def counting_passes(adj, x, y, rest):
             built[0] += 1
@@ -264,6 +270,40 @@ class TestGeneration:
 def _assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+class TestMassIdentity:
+    """Orbit-stabilizer: a class G on n vertices has n!/|Aut G| labeled
+    copies, so the classes' masses add up to the number of labeled connected
+    cubic graphs. A missing class, a duplicate or a wrong group order breaks
+    the sum. Group orders come from the vertex-image backtracker and the
+    count from a degree DP, so neither shares code with ``census`` or
+    ``symmetry``."""
+
+    @staticmethod
+    def _masses(graphs):
+        return [factorial(g.n) // len(oracle_automorphism_group(g)) for g in graphs]
+
+    def test_counts_match_labeled_generation_up_to_8(self):
+        counts = labeled_connected_cubic_counts(8)
+        for n in (4, 6, 8):
+            assert counts[n] == sum(1 for _ in labeled_connected_cubic(n)), n
+
+    def test_every_level_up_to_14(self):
+        counts = labeled_connected_cubic_counts(14)
+        # OEIS A004109
+        assert counts[4::2] == [1, 70, 19320, 11166120, 11543439600, 19491385914000]
+        for n in range(4, 15, 2):
+            assert sum(self._masses(enumerate_cubic(n))) == counts[n], n
+
+    def test_dropped_or_duplicated_class_breaks_it(self):
+        n = 10
+        count = labeled_connected_cubic_counts(n)[n]
+        masses = self._masses(enumerate_cubic(n))
+        assert sum(masses) == count
+        for i in range(len(masses)):
+            assert sum(masses[:i] + masses[i + 1:]) != count, i
+            assert sum(masses + [masses[i]]) != count, i
 
 
 class TestLevelPass:

@@ -107,10 +107,6 @@ class TestConstructInsertReduce:
         doc = json.loads(out)
         assert doc["pairwise_noniso"] is True and len(doc["members"]) == 3
 
-    def test_insert_full_mode(self, capsys, d8_file):
-        code, out, _ = run(capsys, "insert", "--in", d8_file, "--orbit-mode", "full")
-        assert code == 0
-
     def test_reduce_underflows_with_exit_1(self, capsys, d8_file):
         code, _, err = run(capsys, "reduce", "--in", d8_file)
         assert code == 1 and "region underflow" in err

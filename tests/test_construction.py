@@ -31,7 +31,6 @@ from cubic_lab.graphs import (
     relabel,
 )
 from cubic_lab.symmetry import (
-    MODE_FULL,
     MODE_STABILIZER,
     are_isomorphic,
     canonical_form,
@@ -55,7 +54,7 @@ class TestSelectActiveSide:
         assert distinct_cycle_edges(sub_a) == 2
         assert distinct_cycle_edges(sub_b) == 2
         assert canonical_form(sub_a).graph6 == canonical_form(sub_b).graph6
-        assert select_active_side(d8, bb) == "a"
+        assert select_active_side(d8, bb)[0] == "a"
         assert 0 in bb.side_a
 
     def test_unequal_sides_pick_richer_one(self, diamond_ring):
@@ -66,7 +65,7 @@ class TestSelectActiveSide:
         count_b = distinct_cycle_edges(sub_b)
         assert count_a != count_b  # diamond side vs two-diamond chain
         want = "a" if count_a > count_b else "b"
-        assert select_active_side(diamond_ring, bb) == want
+        assert select_active_side(diamond_ring, bb)[0] == want
 
 
 class TestBridgeConstruct:
@@ -150,16 +149,14 @@ class TestDepthBound:
     def test_d8_report(self, d8):
         rep = depth_bound_report(bridge_construct(d8))
         assert rep.max_dist == 3
-        assert rep.orbit_count_full == 4
         assert rep.orbit_count_stabilizer == 4
-        assert rep.holds_full_group and rep.holds_stabilizer
+        assert rep.holds_stabilizer
         assert rep.facilitated_complete
 
     def test_stabilizer_bound_is_the_hard_one(self, d8, diamond_ring):
         for g in (d8, diamond_ring):
             rep = depth_bound_report(bridge_construct(g))
             assert rep.orbit_count_stabilizer >= rep.max_dist
-            assert rep.orbit_count_stabilizer >= rep.orbit_count_full
 
     def test_two_unrooted_searches_per_record(self, d8, monkeypatch):
         # the one search per side that picks the active side is all the
@@ -167,17 +164,17 @@ class TestDepthBound:
         # sides tie on cycle orbits, and the tie-break reads the canonical
         # bytes from those two searches' labelings
         search = symmetry._search
-        roots = []
+        calls = [0]
 
-        def counting(g, root=None):
-            roots.append(root)
-            return search(g, root)
+        def counting(g):
+            calls[0] += 1
+            return search(g)
 
         monkeypatch.setattr(symmetry, "_search", counting)
         rec = bridge_construct(d8)
         insertion_family(rec)
         depth_bound_report(rec)
-        assert roots == [None, None]
+        assert calls[0] == 2
 
 
 def _biconnected_up_to(n_max):
@@ -191,8 +188,9 @@ def _biconnected_up_to(n_max):
 
 class TestSideOrbits:
     """The record's orbits, extended from the generators of the search that
-    chose the active side, are the orbits of the augmented side under the
-    root's stabilizer and under its whole group."""
+    chose the active side, are the orbits of the augmented side under its
+    whole group, and that group fixes the root, so they are the orbits
+    under the root's stabilizer."""
 
     def test_equal_fresh_searches_up_to_14(self):
         rng = random.Random(20)
@@ -202,7 +200,9 @@ class TestSideOrbits:
             for h in (g, *(relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2))):
                 rec = bridge_construct(h)
                 side, remap = rec.side_subgraph()
-                assert rec.side_orbits == symmetry.edge_orbits(side, remap[rec.root]), h
+                root = remap[rec.root]
+                _, generators, _ = symmetry._edge_orbit_search(side)
+                assert all(gamma[root] == root for gamma in generators), h
                 assert rec.side_orbits == symmetry.edge_orbits(side), h
 
     def test_equal_oracle_stabilizer_orbits_up_to_12(self):
@@ -366,14 +366,13 @@ class TestInsertionFamily:
         assert len(set(forms)) == len(forms)
 
     # the only families with a collision among every biconnected class up
-    # to n = 16, in both orbit modes; none has one up to n = 14
+    # to n = 16; none has one up to n = 14
     @pytest.mark.parametrize("g6, report", [
         ("OgM?h`??WH?R_?A???W?F", ((11, 14),)),
         ("OoL?G_q_OI?RO?A???W?F", ((12, 15),)),
     ])
-    @pytest.mark.parametrize("mode", [MODE_STABILIZER, MODE_FULL])
-    def test_collisions_match_oracle(self, g6, report, mode):
-        fam = insertion_family(bridge_construct(parse_graph6(g6)), mode)
+    def test_collisions_match_oracle(self, g6, report):
+        fam = insertion_family(bridge_construct(parse_graph6(g6)), MODE_STABILIZER)
         # graph6 only: isomorphic members have different labelings
         forms = [oracle_canonical_form(m.graph)[0] for m in fam.members]
         expected = tuple(
@@ -394,15 +393,9 @@ class TestInsertionFamily:
 
     def test_unknown_mode_rejected(self, d8):
         rec = bridge_construct(d8)
-        with pytest.raises(InputError, match="unknown orbit mode"):
-            insertion_family(rec, "bogus")
-
-    def test_full_group_mode_also_valid(self, d8):
-        rec = bridge_construct(d8)
-        fam = insertion_family(rec, mode=MODE_FULL)
-        assert fam.pairwise_noniso
-        for m in fam.members:
-            assert is_cubic(m.graph) and m.graph.n == 12
+        for mode in ("bogus", "full"):
+            with pytest.raises(InputError, match="unknown orbit mode"):
+                insertion_family(rec, mode)
 
 
 class TestCoreBridgeInsertion:
@@ -418,14 +411,12 @@ class TestCoreBridgeInsertion:
         assert depth_bound_report(rec).holds_stabilizer
         open1, open2 = rec.open_nodes
         flipped = 0
-        for mode in (MODE_STABILIZER, MODE_FULL):
-            fam = insertion_family(rec, mode)
-            for m in fam.members:
-                assert is_cubic(m.graph) and m.graph.n == rec.augmented.n
-                assert find_bridges(m.graph) == (rec.bridge,)
-                lo, hi = m.chosen_edge
-                id_order_simple = not (rec.augmented.has_edge(lo, open1)
-                                       or rec.augmented.has_edge(hi, open2))
-                if m.kind == MEMBER_INSERT and id_order_simple and m.graph.has_edge(lo, open2):
-                    flipped += 1
+        for m in insertion_family(rec).members:
+            assert is_cubic(m.graph) and m.graph.n == rec.augmented.n
+            assert find_bridges(m.graph) == (rec.bridge,)
+            lo, hi = m.chosen_edge
+            id_order_simple = not (rec.augmented.has_edge(lo, open1)
+                                   or rec.augmented.has_edge(hi, open2))
+            if m.kind == MEMBER_INSERT and id_order_simple and m.graph.has_edge(lo, open2):
+                flipped += 1
         assert flipped

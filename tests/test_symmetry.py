@@ -431,24 +431,15 @@ def _breadth_first_relabeling(g, rng):
     return relabel(g, perm)
 
 
-def _check_edge_orbits(g, perms):
-    assert edge_orbits(g) == oracle_edge_orbits(g, perms), g
-    for root in range(g.n):
-        stab = [p for p in perms if p[root] == root]
-        got = edge_orbits(g, root=root)
-        assert got == oracle_edge_orbits(g, stab), (g, root)
-
-
 class TestAutomorphismGroupMatchesBacktracker:
     """The closure of the canonical search's recorded automorphisms must be
     the group the vertex-image backtracker finds, and the edge orbits read
-    from it must be the orbits of the backtracker's group, in full mode and
-    in stabilizer mode at every root."""
+    from it must be the orbits of the backtracker's group."""
 
     def _check(self, g):
         perms = oracle_automorphism_group(g)
         assert automorphism_group(g) == perms, g
-        _check_edge_orbits(g, perms)
+        assert edge_orbits(g) == oracle_edge_orbits(g, perms), g
 
     def test_every_class_up_to_12_and_a_relabeling(self):
         from cubic_lab.census import enumerate_cubic
@@ -523,14 +514,14 @@ class TestOraclesAgree:
 class TestEdgeOrbitsPastGroupCap:
     """Edge orbits list no group, so they run up to the canonical cap: past
     the group cap, left as published, they must match the orbits of the
-    backtracker's group in full mode and in stabilizer mode at every root."""
+    backtracker's group."""
 
     UNIONS = [("K??Z@PP`d_X?", "K??i``Hacg[?"), ("I??ysr_w?", "I??ysr_w?")]
 
     def _check(self, g):
         assert GROUP_MAX_N < g.n <= CANON_MAX_N
         perms = oracle_automorphism_group(g)
-        _check_edge_orbits(g, perms)
+        assert edge_orbits(g) == oracle_edge_orbits(g, perms), g
         return perms
 
     def _check_distinct(self, g):
@@ -559,9 +550,8 @@ class TestEdgeOrbitsPastGroupCap:
 
     def test_past_canonical_cap_raises(self):
         big = build_graph(CANON_MAX_N + 2, [(0, 1)])
-        for root in (None, 0):
-            with pytest.raises(InputError):
-                edge_orbits(big, root)
+        with pytest.raises(InputError):
+            edge_orbits(big)
 
 
 class TestEdgeOrbits:
@@ -573,11 +563,6 @@ class TestEdgeOrbits:
         orbits = edge_orbits(diamond)
         assert len(orbits) == 2
         assert (edge(1, 2),) in orbits  # the hub edge sits alone
-
-    def test_path_stabilizer_splits(self, path3):
-        full = edge_orbits(path3)
-        stab = edge_orbits(path3, root=0)
-        assert len(full) == 1 and len(stab) == 2
 
     def test_orbits_partition_edges(self, d8, petersen, dumbbell):
         for g in (d8, petersen, dumbbell):
@@ -600,60 +585,25 @@ class TestEdgeOrbits:
                     mapped = any(edge(p[e1.u], p[e1.v]) == e2 for p in perms)
                     assert mapped == (index[e1] == index[e2])
 
-    def test_stabilizer_refines_full(self, d8, petersen, dumbbell, prism):
-        for g in (d8, petersen, dumbbell, prism):
-            full = edge_orbits(g)
-            for root in range(g.n):
-                stab = edge_orbits(g, root=root)
-                for sub in stab:
-                    assert any(set(sub) <= set(sup) for sup in full)
-
-    def test_root_out_of_range(self, k4):
-        for root in (k4.n, -1):
-            with pytest.raises(InputError, match="out of range"):
-                edge_orbits(k4, root=root)
-
-
-class TestStabilizerSearch:
-    def test_root_individualized_first(self, k33, prism, petersen):
-        # all vertices of a vertex-transitive graph share one key cell, so
-        # the search with root r starts at the full search's child r; every
-        # child's subtree holds the least code, and child 0 comes first
-        rng = random.Random(6)
-        for base in (k33, prism, _cube(), petersen):
-            perm = list(range(base.n))
-            rng.shuffle(perm)
-            for g in (base, relabel(base, perm)):
-                cf = canonical_form(g)
-                assert symmetry._search(g, 0)[0] == cf.labeling, g
-                for root in range(g.n):
-                    labeling = symmetry._search(g, root)[0]
-                    assert symmetry._canonical_graph6(g, labeling) == cf.graph6, (g, root)
-
     def test_non_automorphism_generator_raises(self, monkeypatch, path3):
         search = symmetry._search
 
-        def with_bogus_generator(g, root=None):
-            labeling, generators, edges = search(g, root)
-            return labeling, generators + [(1, 0, 2)], edges  # fixes 2, sends (1, 2) to (0, 2)
+        def with_bogus_generator(g):
+            labeling, generators, edges = search(g)
+            return labeling, generators + [(1, 0, 2)], edges  # sends (1, 2) to (0, 2)
 
         monkeypatch.setattr(symmetry, "_search", with_bogus_generator)
         with pytest.raises(InvariantError):
             edge_orbits(path3)
+
+    def test_generator_moving_the_root_raises(self, path3):
+        # bridge_construct's one root check: the generators it extends to
+        # the augmented side must fix the root
+        swap_ends = (2, 1, 0)  # an automorphism of the path 0-1-2
+        symmetry._check_automorphisms(path3.edges(), [swap_ends])
+        symmetry._check_automorphisms(path3.edges(), [swap_ends], 1)
         with pytest.raises(InvariantError):
-            edge_orbits(path3, root=2)
-
-    def test_generator_moving_the_root_raises(self, monkeypatch, path3):
-        search = symmetry._search
-
-        def with_root_moved(g, root=None):
-            labeling, generators, edges = search(g, root)
-            return labeling, generators + [(2, 1, 0)], edges  # an automorphism
-
-        monkeypatch.setattr(symmetry, "_search", with_root_moved)
-        assert len(edge_orbits(path3)) == 1
-        with pytest.raises(InvariantError):
-            edge_orbits(path3, root=0)
+            symmetry._check_automorphisms(path3.edges(), [swap_ends], 0)
 
 
 class TestDistinctCycleEdges:
