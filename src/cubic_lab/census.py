@@ -14,14 +14,33 @@ search records suffices.
 Most children are isomorphic to children of other parents or splits, and
 a canonical-parent filter rejects most of those before their canonical
 search. Call an edge reducible when it has the property of the lemma
-below. Each edge carries the labelling-independent invariant (4-cycles
-through it, 5-cycles through it), compared lexicographically. A child is
-kept only when no reducible edge other than its new edge xy has a
-strictly larger invariant than xy. The set of canonical forms removes the
-duplicates that pass. The verdict does not depend on the order in which
-edges are tried, so the filter tries the likeliest winners first: the
-child's four other new edges, then the parent's edges by descending
-parent invariant. It counts 5-cycles only where the 4-cycle counts tie.
+below, and call a perfect matching of its four other ends valid when the
+lemma's reduction works with it. For an edge xy with other ends a, b at x
+and c, d at y, the within matching is {ab, cd}, and {ac, bd} and {ad, bc}
+are the crossing ones. A child built from the pair {pq, rs} has its own
+matching {pq, rs}, the one that gives back the parent: it is the new
+edge's within matching for the split {pq|rs} and a crossing one for the
+other two splits. Each edge carries the labelling-independent invariant
+(4-cycles through it, 5-cycles through it), compared lexicographically.
+The filter is one rule in two parts. A child is kept only when
+  - invariant: no reducible edge other than its new edge xy has a
+    strictly larger invariant than xy, and
+  - matching: its own matching is xy's within matching, or xy's within
+    matching is not valid.
+The set of canonical forms removes the duplicates that pass.
+
+The matching part is decided in the parent, before the child is built.
+C - x - y is P - pq - rs, so a crossing split {ab|cd} is dropped exactly
+when ab and cd are not edges of P and P - pq - rs + ab + cd is connected.
+P - pq - rs is connected iff neither pq nor rs is a bridge and the two do
+not form a 2-edge-cut, which one cycle-space labelling of P answers for
+every pair: both labels are nonzero and they differ (``connectivity``).
+Only for the rare pair that disconnects P are the components of
+P - pq - rs labelled, as ``_reducible`` labels them. The invariant part
+needs the child. Its verdict does not depend on the order in which edges
+are tried, so the filter tries the likeliest winners first: the child's
+four other new edges, then the parent's edges by descending parent
+invariant. It counts 5-cycles only where the 4-cycle counts tie.
 
 Every child is connected, simple and cubic: x and y are new, each of p, q,
 r, s trades one edge for another, and all four reach the adjacent x and y,
@@ -52,16 +71,21 @@ reached.
     would then form a component without the fourth, a contradiction.
 
 The filter loses no class. By the lemma, C has reducible edges.
-Reducibility and the invariant are unchanged by isomorphisms, so C has a
-reducible edge e* = xy whose invariant no reducible edge of C exceeds.
-Reducing along e* with its matching M gives a graph P' and an isomorphism
-phi from P' to the class representative P of its level. The recorded
-automorphisms generate Aut(P) (``symmetry`` docstring), so some sigma in
-Aut(P) maps the disjoint pair phi(M) to the representative of its orbit.
-Of that pair's three splits, the one that joins the images of x's ends to
-one new vertex and those of y's ends to the other builds a child
-isomorphic to C, with the new edge mapped to e*. That child passes the
-filter, and its canonical form is C's.
+Reducibility, validity and the invariant are unchanged by isomorphisms,
+so C has a reducible edge e* = xy whose invariant no reducible edge of C
+exceeds. Take M* to be e*'s within matching when that is valid, else a
+valid crossing matching. Reducing along e* with M* gives a graph P' and
+an isomorphism phi from P' to the class representative P of its level.
+The recorded automorphisms generate Aut(P) (``symmetry`` docstring), so
+some sigma in Aut(P) maps the disjoint pair phi(M*) to the representative
+of its orbit. Of that pair's three splits, the one that joins the images
+of x's ends to one new vertex and those of y's ends to the other builds a
+child isomorphic to C, with the new edge mapped to e* and its own matching
+mapped to M*. So that own matching is of M*'s type, within or crossing.
+The child passes the invariant part, since its new edge is e*'s image. It
+passes the matching part: if its own matching is crossing, M* is, so
+e*'s within matching is not valid, and neither is the new edge's, which
+the isomorphism maps onto it. Its canonical form is C's.
 
 Each level is kept as its sorted canonical graph6 strings; a ``Graph`` is
 parsed only where one is used, and none is cached. One pass per level does
@@ -88,7 +112,7 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
-from .connectivity import component_of, find_bridges
+from .connectivity import _cycle_labels, component_of, find_bridges
 from .errors import InputError, InvariantError
 from .graphs import Graph, bfs_distances, induced_subgraph, parse_graph6
 from .hamilton import classify_graph, classify_graph6  # the latter re-exported
@@ -150,19 +174,14 @@ def _edge_invariant(adj: Sequence[set[int]], u: int, v: int) -> tuple[int, int]:
     return _four_cycles(adj, u, v), _five_cycles(adj, u, v)
 
 
-def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
-    """Whether the other ends a, b of x and c, d of y are four distinct
-    vertices with a perfect matching M of them that makes the graph minus
-    x and y plus M connected, simple and cubic (the lemma's reduction)."""
-    a, b = (w for w in adj[x] if w != y)
-    c, d = (w for w in adj[y] if w != x)
-    if len({a, b, c, d}) < 4:
-        return False
-    # the graph is connected, so every vertex of the graph minus x and y
-    # shares a component with an end; label each by the first end that
-    # reaches it (x and y are labelled first, so no search enters them)
-    comp = {x: x, y: y}
-    for end in (a, b, c, d):
+def _end_components(
+    adj: Sequence[set[int]], ends: Sequence[int], blocked: Sequence[int] = ()
+) -> dict[int, int]:
+    """Each vertex that a search from ``ends`` reaches without entering
+    ``blocked``, labelled by the first end that reaches it. Where every
+    component holds an end, the labels name the components."""
+    comp = {v: v for v in blocked}
+    for end in ends:
         if end in comp:
             continue
         comp[end] = end
@@ -172,13 +191,61 @@ def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
                 if w not in comp:
                     comp[w] = end
                     stack.append(w)
-    # each end gains one edge for the one it loses, and M's two edges
-    # cover every component, so they join them all iff they share one
+    return comp
+
+
+def _joins(comp: dict[int, int], p: int, q: int, r: int, s: int) -> bool:
+    """Whether the new edges pq and rs join every component labelled in
+    ``comp``, given that each component holds one of the four ends. The
+    two edges cover every component, so they join them all iff they share
+    one."""
+    return not {comp[p], comp[q]}.isdisjoint((comp[r], comp[s]))
+
+
+def _reducible(adj: Sequence[set[int]], x: int, y: int) -> bool:
+    """Whether the other ends a, b of x and c, d of y are four distinct
+    vertices with a perfect matching M of them that makes the graph minus
+    x and y plus M connected, simple and cubic (the lemma's reduction)."""
+    a, b = (w for w in adj[x] if w != y)
+    c, d = (w for w in adj[y] if w != x)
+    if len({a, b, c, d}) < 4:
+        return False
+    # the graph is connected, so every component of the graph minus x and
+    # y holds an end; each end gains one edge for the one it loses
+    comp = _end_components(adj, (a, b, c, d), (x, y))
     return any(
-        q not in adj[p] and s not in adj[r]
-        and not {comp[p], comp[q]}.isdisjoint((comp[r], comp[s]))
+        q not in adj[p] and s not in adj[r] and _joins(comp, p, q, r, s)
         for (p, q), (r, s) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
     )
+
+
+def _kept_splits(
+    base: Sequence[set[int]],
+    labels: dict[tuple[int, int], int],
+    pq: tuple[int, int],
+    rs: tuple[int, int],
+) -> list[tuple[int, int, int, int]]:
+    """The splits (a, b, c, d) of the disjoint edges pq and rs of the
+    parent P whose children the matching part of the filter keeps (module
+    docstring): x joins a and b, y joins c and d. ``base`` is P less pq
+    and rs, ``labels`` is ``_cycle_labels(P)``.
+
+    The split {pq|rs} is always kept. A crossing split {ab|cd} is dropped
+    when its within matching {ab, cd} is valid: neither ab nor cd is an
+    edge of P (none of them is pq or rs), and base + ab + cd is connected.
+    base is connected iff both labels are nonzero and they differ; only
+    when it is not are its components labelled, each holding an end since
+    P is connected."""
+    (p, q), (r, s) = pq, rs
+    label_pq, label_rs = labels[pq], labels[rs]
+    comp = None
+    if not (label_pq and label_rs and label_pq != label_rs):
+        comp = _end_components(base, (p, q, r, s))
+    kept = [(p, q, r, s)]
+    for a, b, c, d in ((p, r, q, s), (p, s, q, r)):
+        if b in base[a] or d in base[c] or (comp is not None and not _joins(comp, a, b, c, d)):
+            kept.append((a, b, c, d))
+    return kept
 
 
 def _passes_parent_filter(
@@ -218,11 +285,15 @@ def _passes_parent_filter(
 def _children(g: Graph) -> set[bytes]:
     """Canonical graph6 forms of the edge insertions into g that pass the
     canonical-parent filter, one pair of disjoint edges per orbit under the
-    automorphisms ``_search`` records. The filter reads adjacency sets, so
-    a ``Graph`` is built only for a child it accepts. The searches run
-    uncached: a labeled child is never looked up again, and caching it
-    would only evict ``canonical_form`` entries that are."""
+    automorphisms ``_search`` records. The matching part of the filter is
+    decided per pair from g's one cycle-space labelling
+    (``_kept_splits``), so a dropped split costs no adjacency sets. The
+    invariant part reads the child's adjacency sets, so a ``Graph`` is
+    built only for a child it accepts. The searches run uncached: a
+    labeled child is never looked up again, and caching it would only
+    evict ``canonical_form`` entries that are."""
     n = g.n
+    labels = _cycle_labels(g)
     _, generators, edges = _search(g)
     _check_automorphisms(edges, generators)
     # pairs of edge ids, and each generator as a permutation of edge ids
@@ -254,7 +325,7 @@ def _children(g: Graph) -> set[bytes]:
         for u, w in ((p, q), (r, s)):
             base[u].discard(w)
             base[w].discard(u)
-        for a, b, c, d in ((p, q, r, s), (p, r, q, s), (p, s, q, r)):
+        for a, b, c, d in _kept_splits(base, labels, edges[i], edges[j]):
             adj = base + [{n + 1, a, b}, {n, c, d}]
             for w, x in ((a, n), (b, n), (c, n + 1), (d, n + 1)):
                 adj[w] = base[w] | {x}

@@ -91,11 +91,19 @@ class ConstructionRecord:
     side_orbits: tuple[tuple[Edge, ...], ...]
 
     def side_subgraph(self) -> tuple[Graph, dict[int, int]]:
+        """The augmented active side and the remap {augmented id: side id}."""
+        return self._side
+
+    @cached_property
+    def _side(self) -> tuple[Graph, dict[int, int]]:
+        # built once per record: ``bridge_construct`` stores the build it
+        # extends the generators on, and a record made any other way (a
+        # ``dataclasses.replace``) builds its own on first use
         return induced_subgraph(self.augmented, self.active_side)
 
     @cached_property
     def _side_bridges(self) -> tuple[dict[int, int], frozenset[Edge]]:
-        # the side_subgraph remap and the side's bridges in its ids, built
+        # the side_subgraph remap and the side's bridges in its ids, found
         # once per record: every cycle_insertion of a family, the family's
         # skip of bridge orbits and the bridgeless check need them
         side, remap = self.side_subgraph()
@@ -199,7 +207,7 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
         for gamma in generators
     ]
     _check_automorphisms(side_edges, extended, k)
-    return ConstructionRecord(
+    rec = ConstructionRecord(
         source=g,
         chosen_bibridge=bb,
         augmented=augmented,
@@ -210,6 +218,8 @@ def bridge_construct(g: Graph) -> ConstructionRecord:
         profile=profile,
         side_orbits=_orbits_of_edges(side_edges, extended),
     )
+    rec.__dict__["_side"] = side, remap  # the cached_property's slot
+    return rec
 
 
 @dataclass(frozen=True)

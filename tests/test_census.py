@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -20,7 +21,7 @@ from cubic_lab.census import (
     is_complete_tree_at_bridge,
     table_csv,
 )
-from cubic_lab.connectivity import find_bridges
+from cubic_lab.connectivity import _cycle_labels, find_bridges
 from cubic_lab.errors import InputError, InvariantError
 from cubic_lab.graphs import (
     Graph,
@@ -93,12 +94,13 @@ class TestEnumerate:
         assert got == want
 
 
-def _insertion_reductions(g):
-    """Every (x, y, M) for an edge xy whose other ends a, b (at x) and c, d
-    (at y) are four distinct vertices, and a perfect matching M of them
-    that makes g - x - y + M connected, simple and cubic."""
+def _insertion_reductions(g, edges=None):
+    """Every (x, y, M) for an edge xy (of ``edges``, default all of g's)
+    whose other ends a, b (at x) and c, d (at y) are four distinct
+    vertices, and a perfect matching M of them that makes g - x - y + M
+    connected, simple and cubic."""
     found = []
-    for x, y in g.edges():
+    for x, y in g.edges() if edges is None else edges:
         a, b = (w for w in g.adj[x] if w != y)
         c, d = (w for w in g.adj[y] if w != x)
         if len({a, b, c, d}) < 4:
@@ -188,8 +190,8 @@ class TestGeneration:
         parents = sum(len(enumerate_cubic(n)) for n in range(4, 11, 2))
         assert parents == 27
         child_searches = searches[0] - parents
-        assert child_searches == 229
-        assert built[0] == 1176
+        assert child_searches == 142
+        assert built[0] == 671
         assert 4 * child_searches < built[0]
 
     def test_ordered_lazy_filter_equals_plain_scan(self, monkeypatch):
@@ -217,8 +219,8 @@ class TestGeneration:
 
         monkeypatch.setattr(census, "_passes_parent_filter", checking_passes)
         enumerate_cubic(12)
-        assert len(verdicts) == 1176
-        assert verdicts.count(True) == 229
+        assert len(verdicts) == 671
+        assert verdicts.count(True) == 142
 
     def test_graphs_built_only_for_accepted_children(self, monkeypatch):
         # the filter reads adjacency sets, so a rejected child costs no
@@ -235,9 +237,9 @@ class TestGeneration:
         enumerate_cubic(12)
         # levels stay graph6 strings: the 85 classes of the returned level
         # 12 parsed, 27 parents parsed for their children, and per accepted
-        # child (229, see above) the child alone, since its canonical bytes
+        # child (142, see above) the child alone, since its canonical bytes
         # are written from the labeling (570 when the relabeling was built)
-        assert built[0] == 85 + 27 + 229 == 341
+        assert built[0] == 85 + 27 + 142 == 254
 
     def test_levels_are_sorted_graph6_strings(self, monkeypatch, capsys):
         from cubic_lab.cli import main
@@ -265,6 +267,94 @@ class TestGeneration:
             results.append((rows, graphs))
         assert results[0] == results[1] == results[2]
         assert [row.total_cubic for row in results[0][0]] == [1, 2, 5, 19, 85]
+
+
+def _splits(e, f):
+    """The three splits of a parent's disjoint edges e = pq and f = rs, each
+    as (a, b, c, d): x joins a and b, y joins c and d."""
+    (p, q), (r, s) = e, f
+    return [(p, q, r, s), (p, r, q, s), (p, s, q, r)]
+
+
+def _kept_by_rule(g, e, f):
+    base = [set(nbrs) for nbrs in g.adj]
+    for u, w in (e, f):
+        base[u].discard(w)
+        base[w].discard(u)
+    return census._kept_splits(base, _cycle_labels(g), e, f)
+
+
+def _kept_by_oracle(g, e, f, split):
+    """Build the child and keep it unless its own matching {e, f} is not
+    its new edge's within matching {ab, cd} and that one is valid."""
+    n = g.n
+    a, b, c, d = split
+    child = edit_graph(g, new_vertices=2, remove=[e, f],
+                       add=[(a, n), (b, n), (c, n + 1), (d, n + 1), (n, n + 1)])
+    within = (tuple(sorted((a, b))), tuple(sorted((c, d))))
+    if {frozenset(m) for m in within} == {frozenset(e), frozenset(f)}:
+        return True
+    return (n, n + 1, within) not in _insertion_reductions(child, [(n, n + 1)])
+
+
+def _disjoint_pairs(g):
+    return [(e, f) for e, f in combinations(g.edges(), 2) if not set(e) & set(f)]
+
+
+class TestMatchingRule:
+    """The matching part of the canonical-parent filter, decided in the
+    parent, against ``_insertion_reductions`` on each built child."""
+
+    def test_equals_oracle_on_every_pair_and_split_up_to_10(self, dumbbell, d8):
+        graphs = [g for n in range(4, 11, 2) for g in enumerate_cubic(n)]
+        assert len(graphs) == 27
+        checked = dropped = disconnecting = 0
+        for g in [*graphs, dumbbell, d8]:
+            labels = _cycle_labels(g)
+            for e, f in _disjoint_pairs(g):
+                kept = _kept_by_rule(g, e, f)
+                for split in _splits(e, f):
+                    assert (split in kept) == _kept_by_oracle(g, e, f, split), (emit_graph6(g), split)
+                    checked += 1
+                dropped += 3 - len(kept)
+                disconnecting += not (labels[e] and labels[f] and labels[e] != labels[f])
+        assert checked == 3 * sum(len(_disjoint_pairs(g)) for g in [*graphs, dumbbell, d8])
+        # both verdicts occur, and so do pairs that disconnect the parent
+        assert 0 < dropped < checked and disconnecting > 0
+
+    def test_two_edge_cut_pair_uses_the_components(self, d8):
+        # d8's cut {04, 37} disconnects it: the crossing split {03|47} adds
+        # one edge inside each diamond and is kept, while {07|34} joins
+        # the diamonds and is dropped
+        e, f = edge(0, 4), edge(3, 7)
+        labels = _cycle_labels(d8)
+        assert labels[e] == labels[f] != 0
+        assert _kept_by_rule(d8, e, f) == [(0, 4, 3, 7), (0, 3, 4, 7)]
+        assert [_kept_by_oracle(d8, e, f, split) for split in _splits(e, f)] == [True, True, False]
+
+    def test_bridge_pair_uses_the_components(self, dumbbell):
+        # with the bridge 49 and the edge 02 on one side, {04|29} joins
+        # the sides and is dropped; {09|24} would double the edge 24
+        e, f = edge(0, 2), edge(4, 9)
+        assert _cycle_labels(dumbbell)[f] == 0
+        assert _kept_by_rule(dumbbell, e, f) == [(0, 2, 4, 9), (0, 9, 2, 4)]
+        assert [_kept_by_oracle(dumbbell, e, f, split) for split in _splits(e, f)] == [True, False, True]
+
+    def test_invariant_under_seeded_relabeling(self, dumbbell, d8):
+        rng = random.Random(1998)
+
+        def split_set(split, perm=None):
+            a, b, c, d = split if perm is None else (perm[v] for v in split)
+            return frozenset((frozenset((a, b)), frozenset((c, d))))
+
+        for g in [*(g for n in range(4, 11, 2) for g in enumerate_cubic(n)), dumbbell, d8]:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            h = relabel(g, perm)
+            for e, f in _disjoint_pairs(g):
+                image = sorted((edge(perm[e.u], perm[e.v]), edge(perm[f.u], perm[f.v])))
+                ours = {split_set(split, perm) for split in _kept_by_rule(g, e, f)}
+                assert ours == {split_set(split) for split in _kept_by_rule(h, *image)}, (emit_graph6(g), e, f)
 
 
 def _assert_no_child_process():

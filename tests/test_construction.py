@@ -216,6 +216,29 @@ class TestSideOrbits:
             stab = [p for p in group if p[root] == root]
             assert rec.side_orbits == oracle_edge_orbits(side, stab), g
 
+    def test_augmented_side_built_once_per_record(self, monkeypatch):
+        # one build per side of the cut to choose the active side, then the
+        # augmented side once: the record keeps the build that extended
+        # the generators for its family and its bridgeless check
+        from cubic_lab import construction
+
+        built = []
+
+        def counting(g, keep):
+            built.append(g)
+            return induced_subgraph(g, keep)
+
+        monkeypatch.setattr(construction, "induced_subgraph", counting)
+        graphs = _biconnected_up_to(12)
+        assert len(graphs) == 29
+        for g in graphs:
+            built.clear()
+            rec = bridge_construct(g)
+            insertion_family(rec)
+            assert active_side_bridgeless(rec)
+            assert built == [g, g, rec.augmented], g
+            assert rec.side_subgraph() == induced_subgraph(rec.augmented, rec.active_side)
+
 
 class TestCycleCover:
     def test_d8_side_bridgeless(self, d8):
